@@ -121,7 +121,8 @@ runFig13(const bench::Args &args)
     json.add("scaled_measure_records", recordBudget(options[0]).measure);
     json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+        runWorkloadSweep(prof, plt1, options,
+                         bench::sweepOptions(args, options));
     printTable(prof, sizes, results, false);
     std::printf("\nPaper: a 1 GiB L4 captures most heap locality; "
                 "remaining misses are mostly shard; ~50%% of DRAM "
@@ -146,24 +147,24 @@ runFig13(const bench::Args &args)
         nom_options.push_back(opt);
     }
     const RecordBudget nom_budget = recordBudget(nom_options[0]);
-    const SweepControl nom_control =
-        bench::clusteredControl(args, nom_budget.total());
+    const SweepOptions nom_sweep = bench::sweepOptions(
+        args, nom_options, SamplingPolicy::kClustered);
     json.add("nominal_measure_records", nom_budget.measure);
     json.add("nominal_warmup_records", nom_budget.warmup);
     json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_control.policy)));
-    json.add("sample_window_records", nom_control.rep.windowRecords);
+             std::string(samplingPolicyName(nom_sweep.policy)));
+    json.add("sample_window_records", nom_sweep.rep.windowRecords);
     json.add("sample_clusters",
-             static_cast<uint64_t>(nom_control.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_control.rep.seed));
+             static_cast<uint64_t>(nom_sweep.rep.sampleWindows));
+    json.add("sample_seed", sampleSeed(nom_sweep.rep.seed));
 
     std::printf("Nominal-scale sweep (%s sampling; 23 MiB L3, paper "
                 "working sets: %s heap tail, %s shard span)\n",
-                samplingPolicyName(nom_control.policy),
+                samplingPolicyName(nom_sweep.policy),
                 formatBytes(nominal.heapWorkingSetBytes).c_str(),
                 formatBytes(nominal.shardSpanBytes).c_str());
     const std::vector<SystemResult> nom_results =
-        runWorkloadSweep(nominal, plt1, nom_options, nom_control);
+        runWorkloadSweep(nominal, plt1, nom_options, nom_sweep);
     printTable(nominal, nom_sizes, nom_results, true);
     std::printf("\n");
 

@@ -89,7 +89,8 @@ runFig14(const bench::Args &args)
         options.push_back(syn);
     }
     const std::vector<SystemResult> results =
-        runWorkloadSweep(sweep, plt1, options, bench::sweepControl(args));
+        runWorkloadSweep(sweep, plt1, options,
+                         bench::sweepOptions(args, options));
 
     // 1. L3 behaviour at the two designs (sweep scale).
     const NativePoint base45 = nativePoint(results[0]);

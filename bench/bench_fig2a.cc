@@ -43,7 +43,8 @@ runFig2a(const bench::Args &args)
             per_socket, 2'000'000ull * per_socket));
     }
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options, bench::sweepControl(args));
+        runWorkloadSweep(prof, plt1, options,
+                         bench::sweepOptions(args, options));
 
     Table t({"Cores", "Cores/socket", "Per-thread IPC",
              "Normalized QPS", "Scaling efficiency"});

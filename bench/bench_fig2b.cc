@@ -40,7 +40,8 @@ runPlatform(const PlatformConfig &plt, const std::vector<uint32_t> &smt,
         options.push_back(opt);
     }
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt, options, bench::sweepControl(args));
+        runWorkloadSweep(prof, plt, options,
+                         bench::sweepOptions(args, options));
 
     double base_core_ipc = 0;
     for (size_t i = 0; i < smt.size(); ++i) {

@@ -37,10 +37,10 @@ runFig2c(const bench::Args &args)
         RunOptions pf_on = huge;
         pf_on.prefetch = plt.prefetchEngine;
 
-        const std::vector<SystemResult> results =
-            runWorkloadSweep(WorkloadProfile::s1Leaf(), plt,
-                             {base, huge, pf_on},
-                             bench::sweepControl(args));
+        const std::vector<RunOptions> options = {base, huge, pf_on};
+        const std::vector<SystemResult> results = runWorkloadSweep(
+            WorkloadProfile::s1Leaf(), plt, options,
+            bench::sweepOptions(args, options));
         auto qps = [&](const SystemResult &r) {
             return base.cores * r.ipcPerThread;
         };

@@ -19,12 +19,13 @@ runFig6a(const bench::Args &args)
 {
     bench::banner(args, "Figure 6a",
                   "Cache MPKI across the hierarchy by access type");
-    RunOptions opt = bench::baseOptions(16, 32'000'000, 48'000'000);
-    opt.l3Bytes = 40 * MiB;
+    std::vector<RunOptions> options = {
+        bench::baseOptions(16, 32'000'000, 48'000'000)};
+    options[0].l3Bytes = 40 * MiB;
     const SystemResult r =
         runWorkloadSweep(WorkloadProfile::s1Leaf(),
-                         PlatformConfig::plt1(), {opt},
-                         bench::sweepControl(args))
+                         PlatformConfig::plt1(), options,
+                         bench::sweepOptions(args, options))
             .front();
     const uint64_t instr = r.instructions;
     const CacheLevelStats l1 = [&] {

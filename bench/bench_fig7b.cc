@@ -30,7 +30,7 @@ runFig7b(const bench::Args &args)
     const std::vector<SystemResult> results =
         runWorkloadSweep(WorkloadProfile::s1Leaf(),
                          PlatformConfig::plt1(), options,
-                         bench::sweepControl(args));
+                         bench::sweepOptions(args, options));
 
     Table t({"Block", "L1-I MPKI", "L1-D MPKI", "L2 MPKI", "L3 MPKI"});
     for (size_t j = 0; j < blocks.size(); ++j) {

@@ -11,8 +11,9 @@
  *                       is generated once into a shared BufferedTrace
  *                       and every config replays chunked spans,
  *   3. parallel         runWorkloadSweep at 2/4/8 worker threads,
- *   4. sampled          --smoke's sampled-interval mode (estimates;
- *                       reported separately, never identity-gated).
+ *   4. sampled          uniform and clustered SamplingPlans with the
+ *                       same window knobs (estimates; reported
+ *                       separately, never identity-gated).
  *
  * Every exact run is compared counter-for-counter against the
  * serial-classic oracle; any mismatch makes the binary exit nonzero,
@@ -33,7 +34,7 @@ namespace wsearch {
 namespace {
 
 std::vector<RunOptions>
-sweepOptions(const bench::Args &args)
+ladderOptions(const bench::Args &args)
 {
     // Smaller budgets in smoke mode: the point there is exercising
     // the machinery (under TSan in CI), not timing fidelity.
@@ -108,7 +109,7 @@ runBenchSweep(const bench::Args &args)
                   "(8-config L3 capacity sweep)");
     const WorkloadProfile prof = WorkloadProfile::s1LeafCapacitySweep();
     const PlatformConfig plt1 = PlatformConfig::plt1();
-    const std::vector<RunOptions> options = sweepOptions(args);
+    const std::vector<RunOptions> options = ladderOptions(args);
     const uint64_t records_per_config = recordBudget(options[0]).total();
 
     // 1. Serial-classic oracle: per-config trace regeneration.
@@ -138,11 +139,11 @@ runBenchSweep(const bench::Args &args)
     bool all_identical = true;
     const std::vector<uint32_t> thread_counts = {1, 2, 4, 8};
     for (const uint32_t threads : thread_counts) {
-        SweepControl control;
-        control.threads = threads;
+        SweepOptions exact;
+        exact.threads = threads;
         t0 = bench::nowSec();
         const std::vector<SystemResult> got =
-            runWorkloadSweep(prof, plt1, options, control);
+            runWorkloadSweep(prof, plt1, options, exact);
         const double sec = bench::nowSec() - t0;
 
         bool same = got.size() == oracle.size();
@@ -165,51 +166,31 @@ runBenchSweep(const bench::Args &args)
         std::fflush(stdout);
     }
 
-    // Sampled quick-look mode, timed for reference. Estimates by
-    // design -- never part of the identity gate.
-    {
-        bench::Args smoke_args = args;
-        smoke_args.smoke = true;
-        SweepControl control = bench::sweepControl(smoke_args);
-        control.threads = 1;
-        t0 = bench::nowSec();
-        const std::vector<SystemResult> sampled =
-            runWorkloadSweep(prof, plt1, options, control);
-        const double sec = bench::nowSec() - t0;
-        t.addRow({"sampled (est.)", "1", Table::fmt(sec, 2),
-                  Table::fmt(serial_sec / sec, 2),
-                  "n/a (sampled)"});
-        json.beginObject();
-        json.add("mode", std::string("sampled"));
-        json.add("threads", static_cast<uint64_t>(1));
-        json.add("wall_sec", sec);
-        json.add("speedup_vs_serial_classic", serial_sec / sec);
-        json.add("sampled_windows", sampled[0].sampledWindows);
-        json.add("simulated_fraction",
-                 control.sampling.simulatedFraction());
-        json.endObject();
-    }
-
-    // Clustered representative sampling (see memsim/sweep.hh), timed
-    // and compared against uniform sampling at EQUAL ERROR: escalate
-    // the uniform plan's window budget (k, 2k, 4k, 8k) until its
-    // absolute LLC-miss error matches clustered's, then report the
-    // simulated-records ratio -- the honest "speedup at equal error"
-    // number. Informational, not gated (the statistical gate lives in
+    // Uniform and clustered representative sampling (see
+    // memsim/sweep.hh) with the same window knobs, timed on the SAME
+    // 8-config sweep as every row above, so their speedup columns are
+    // apples-to-apples with serial-classic (one shared plan per
+    // trace, replayed per config). Clustered is then compared against
+    // uniform sampling at EQUAL ERROR: escalate the uniform plan's
+    // window budget (k, 2k, 4k, 8k) until its absolute LLC-miss
+    // error matches clustered's, then report the simulated-records
+    // ratio -- the honest "speedup at equal error" number.
+    // Informational, not gated (the statistical gate lives in
     // bench_fig6bc); in WSEARCH_FAST smoke runs the trace is short
     // enough that the comparison is noisy.
     {
-        // Clustered row: the SAME 8-config sweep as every row above,
-        // so its speedup column is apples-to-apples with
-        // serial-classic (one shared signature pass + plan, replayed
-        // per config).
-        SweepControl control;
-        control.threads = 1;
-        control.policy = SamplingPolicy::kClustered;
-        control.rep = defaultRepresentativeSampling(records_per_config);
+        SweepOptions sampled;
+        sampled.threads = 1;
+        sampled.rep = defaultRepresentativeSampling(records_per_config);
+        sampled.policy = SamplingPolicy::kUniform;
+        t0 = bench::nowSec();
+        const std::vector<SystemResult> ures =
+            runWorkloadSweep(prof, plt1, options, sampled);
+        const double uniform_sec = bench::nowSec() - t0;
+        sampled.policy = SamplingPolicy::kClustered;
         t0 = bench::nowSec();
         const std::vector<SystemResult> cres =
-            runWorkloadSweep(prof, plt1, options, control);
+            runWorkloadSweep(prof, plt1, options, sampled);
         const double clustered_sec = bench::nowSec() - t0;
 
         // Equal-error analysis on one mid-ladder config (1 MiB L3).
@@ -226,7 +207,7 @@ runBenchSweep(const bench::Args &args)
         // Same knobs + same deterministic trace => this plan is the
         // one the sweep above used, so cres[3] IS its estimate.
         const SamplingPlan cplan =
-            buildClusteredPlan(*trace, total, control.rep);
+            buildClusteredPlan(*trace, total, sampled.rep);
         const SystemResult &clustered = cres[3];
         const double cerr = std::abs(
             static_cast<double>(clustered.l3.totalMisses()) - o);
@@ -237,8 +218,8 @@ runBenchSweep(const bench::Args &args)
         double uerr = -1.0;
         bool equal_error_reached = false;
         for (uint32_t mult = 1; mult <= 8; mult *= 2) {
-            RepresentativeSampling urep = control.rep;
-            urep.sampleWindows = control.rep.sampleWindows * mult;
+            RepresentativeSampling urep = sampled.rep;
+            urep.sampleWindows = sampled.rep.sampleWindows * mult;
             const SamplingPlan uplan = buildUniformPlan(total, urep);
             SystemSimulator usim(cfg);
             const SystemResult uniform = usim.runPlanned(*trace, uplan);
@@ -255,6 +236,9 @@ runBenchSweep(const bench::Args &args)
             static_cast<double>(uniform_records) /
             static_cast<double>(cplan.simulatedRecords());
 
+        t.addRow({"uniform (est.)", "1", Table::fmt(uniform_sec, 2),
+                  Table::fmt(serial_sec / uniform_sec, 2),
+                  "n/a (sampled)"});
         t.addRow({"clustered (est.)", "1",
                   Table::fmt(clustered_sec, 2),
                   Table::fmt(serial_sec / clustered_sec, 2),
@@ -272,6 +256,15 @@ runBenchSweep(const bench::Args &args)
                     equal_error_reached ? "" : " (never matched; 8x cap)",
                     speedup_at_equal_error);
 
+        json.beginObject();
+        json.add("mode", std::string("uniform"));
+        json.add("threads", static_cast<uint64_t>(1));
+        json.add("wall_sec", uniform_sec);
+        json.add("speedup_vs_serial_classic", serial_sec / uniform_sec);
+        json.add("sampled_windows", ures[0].sampledWindows);
+        json.add("simulated_fraction",
+                 buildUniformPlan(total, sampled.rep).simulatedFraction());
+        json.endObject();
         json.beginObject();
         json.add("mode", std::string("clustered"));
         json.add("threads", static_cast<uint64_t>(1));

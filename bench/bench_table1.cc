@@ -74,13 +74,15 @@ runTable1(const bench::Args &args)
     };
 
     std::vector<WorkloadSpec> specs;
+    std::vector<RunOptions> options;
     for (const auto &row : rows) {
         RunOptions opt = bench::baseOptions(
             row.cores, row.cores >= 8 ? 24'000'000 : 8'000'000);
         specs.push_back({row.profile, row.platform, opt});
+        options.push_back(opt);
     }
-    const std::vector<SystemResult> results =
-        runWorkloads(specs, bench::sweepControl(args));
+    const std::vector<SystemResult> results = runWorkloads(
+        specs, bench::sweepOptions(args, options));
 
     Table t({"Workload", "IPC", "(ref)", "L3 load MPKI", "(ref)",
              "L2-I MPKI", "(ref)", "Branch MPKI", "(ref)"});

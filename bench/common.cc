@@ -1,12 +1,29 @@
 #include "common.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace wsearch {
 namespace bench {
+
+namespace {
+
+[[noreturn]] void
+usage(const char *prog, const char *bad)
+{
+    std::fprintf(stderr,
+                 "%s: bad argument '%s'\n"
+                 "usage: %s [--smoke] [--threads=N] "
+                 "[--sampling=off|uniform|clustered]\n",
+                 prog, bad, prog);
+    std::exit(2);
+}
+
+} // namespace
 
 Args
 parseArgs(int argc, char **argv)
@@ -17,49 +34,46 @@ parseArgs(int argc, char **argv)
         if (std::strcmp(a, "--smoke") == 0) {
             args.smoke = true;
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
-            args.threads =
-                static_cast<uint32_t>(std::strtoul(a + 10, nullptr, 10));
+            uint64_t n = 0;
+            if (!parseU64(a + 10, n) ||
+                n > std::numeric_limits<uint32_t>::max())
+                usage(argv[0], a);
+            args.threads = static_cast<uint32_t>(n);
         } else if (std::strncmp(a, "--sampling=", 11) == 0) {
             const char *p = a + 11;
-            if (std::strcmp(p, "uniform") == 0) {
+            if (std::strcmp(p, "uniform") == 0)
                 args.policy = SamplingPolicy::kUniform;
-                args.policySet = true;
-            } else if (std::strcmp(p, "clustered") == 0) {
+            else if (std::strcmp(p, "clustered") == 0)
                 args.policy = SamplingPolicy::kClustered;
-                args.policySet = true;
-            } else if (std::strcmp(p, "off") == 0) {
+            else if (std::strcmp(p, "off") == 0)
                 args.policy = SamplingPolicy::kOff;
-                args.policySet = true;
-            }
+            else
+                usage(argv[0], a);
+            args.policySet = true;
         }
     }
     return args;
 }
 
-SweepControl
-sweepControl(const Args &args)
+SweepOptions
+sweepOptions(const Args &args, const std::vector<RunOptions> &options,
+             SamplingPolicy section_default)
 {
-    SweepControl control;
-    control.threads = args.threads;
-    if (args.smoke) {
-        // ~1/4 of the trace in windows of 1/8 warmup + 1/8 measure.
-        control.sampling.periodRecords = traceBudget(4'000'000);
-        control.sampling.warmupRecords = traceBudget(500'000);
-        control.sampling.measureRecords = traceBudget(500'000);
-    }
-    return control;
-}
-
-SweepControl
-clusteredControl(const Args &args, uint64_t total_records,
-                 SamplingPolicy fallback)
-{
-    SweepControl control;
-    control.threads = args.threads;
-    control.policy = args.policySet ? args.policy : fallback;
-    if (control.policy != SamplingPolicy::kOff)
-        control.rep = defaultRepresentativeSampling(total_records);
-    return control;
+    SweepOptions opt;
+    opt.threads = args.threads;
+    if (args.policySet)
+        opt.policy = args.policy;
+    else if (section_default != SamplingPolicy::kOff)
+        opt.policy = section_default;
+    else if (args.smoke)
+        opt.policy = SamplingPolicy::kUniform;
+    if (opt.policy == SamplingPolicy::kOff)
+        return opt;
+    uint64_t total = 0;
+    for (const RunOptions &o : options)
+        total = std::max(total, recordBudget(o).total());
+    opt.rep = defaultRepresentativeSampling(total);
+    return opt;
 }
 
 RunOptions
@@ -78,13 +92,10 @@ banner(const Args &args, const std::string &experiment_id,
        const std::string &description)
 {
     printBanner(experiment_id, description);
-    if (args.smoke) {
-        const SampledIntervals s = sweepControl(args).sampling;
-        std::printf("(--smoke: SAMPLED intervals -- %.0f%% of each "
-                    "trace simulated in periodic windows; all numbers "
-                    "are estimates)\n\n",
-                    100.0 * s.simulatedFraction());
-    }
+    if (args.smoke)
+        std::printf("(--smoke: SAMPLED -- uniform representative "
+                    "windows, ~1/4 of each trace simulated; all "
+                    "numbers are estimates)\n\n");
 }
 
 double
@@ -113,6 +124,9 @@ beginStandardJson(JsonWriter &json, const std::string &bench_name,
     json.add("schema_version", static_cast<uint64_t>(1));
     json.add("bench", bench_name);
     json.add("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
+    json.add("smoke_sampling",
+             std::string(samplingPolicyName(
+                 smoke ? SamplingPolicy::kUniform : SamplingPolicy::kOff)));
     json.add("git_sha", gitSha());
 }
 

@@ -1,18 +1,22 @@
 /**
  * @file
  * Shared harness for the figure/table bench drivers: command-line
- * parsing (--smoke, --threads), the standard RunOptions/budget
- * boilerplate every driver used to duplicate, the SweepControl fed to
- * the parallel sweep engine, wall-clock timing, and a minimal JSON
- * emitter for machine-readable bench output (BENCH_*.json).
+ * parsing (--smoke, --threads, --sampling), the standard
+ * RunOptions/budget boilerplate every driver used to duplicate, the
+ * SweepOptions fed to the parallel sweep engine, wall-clock timing,
+ * and a minimal JSON emitter for machine-readable bench output
+ * (BENCH_*.json).
  *
  * Runtime knobs (see README.md):
  *   WSEARCH_SIM_THREADS  sweep worker threads (default: hardware
  *                        concurrency); --threads=N overrides
- *   --smoke              sampled-interval quick-look mode: periodic
- *                        warmup+measure windows instead of the full
- *                        contiguous replay; results are ESTIMATES and
- *                        are banner-labelled as sampled
+ *   --smoke              sampled quick-look mode: a uniform
+ *                        SamplingPlan (~1/4 of each trace simulated)
+ *                        instead of the full contiguous replay;
+ *                        results are ESTIMATES with 95% bands and are
+ *                        banner-labelled as sampled
+ *   --sampling=P         off|uniform|clustered; overrides both the
+ *                        --smoke policy and a section's default
  */
 
 #ifndef WSEARCH_BENCH_COMMON_HH
@@ -32,39 +36,36 @@ struct Args
 {
     bool smoke = false;   ///< sampled quick-look mode
     uint32_t threads = 0; ///< sweep workers; 0 = WSEARCH_SIM_THREADS
-    /**
-     * Representative-window sampling policy override
-     * (--sampling=off|uniform|clustered). kOff means "driver default":
-     * drivers that support representative sampling pick their own
-     * policy (typically kClustered for nominal-scale sections).
-     */
+    /** Representative-window sampling policy (--sampling=); only
+     *  meaningful when policySet. */
     SamplingPolicy policy = SamplingPolicy::kOff;
     bool policySet = false; ///< --sampling= was given explicitly
 };
 
-/** Parse --smoke / --threads=N / --sampling=off|uniform|clustered;
- *  unknown arguments are ignored. */
+/**
+ * Parse --smoke / --threads=N / --sampling=off|uniform|clustered.
+ * Other unknown arguments are ignored; a non-numeric --threads= or an
+ * unknown --sampling= value prints a usage line and exits 2.
+ */
 Args parseArgs(int argc, char **argv);
 
 /**
- * SweepControl implied by @p args: worker threads plus, in smoke
- * mode, sampled intervals covering ~1/4 of each trace (budget-scaled
- * so WSEARCH_FAST smoke runs still get several windows).
+ * SweepOptions for a sweep section over @p options: threads from
+ * --threads; policy from --sampling= if given, else
+ * @p section_default, else kUniform under --smoke (kOff otherwise);
+ * whenever the policy samples, rep = defaultRepresentativeSampling
+ * over the section's largest warmup+measure budget (~96 windows, 12
+ * simulated, each after a one-window warmup, so ~1/4 of the trace;
+ * rows with smaller budgets simulate a larger share;
+ * WSEARCH_SAMPLE_WINDOWS / WSEARCH_SAMPLE_CLUSTERS /
+ * WSEARCH_SAMPLE_WARMUP / WSEARCH_SAMPLE_SEED override -- see
+ * README). A kClustered section default is what lets the fig6bc/fig13
+ * capacity sweeps run at full nominal working-set sizes.
  */
-SweepControl sweepControl(const Args &args);
-
-/**
- * SweepControl running representative-window sampling over
- * @p total_records with the default knobs (~96 windows, 12 sampled;
- * WSEARCH_SAMPLE_WINDOWS / WSEARCH_SAMPLE_CLUSTERS / WSEARCH_SAMPLE_SEED
- * override -- see README). Policy is @p fallback unless --sampling=
- * was given. This is what lets the fig6bc/fig13 capacity sweeps run
- * at full nominal working-set sizes: only ~1/4 of each trace is
- * simulated and every estimate carries a confidence band.
- */
-SweepControl clusteredControl(const Args &args, uint64_t total_records,
-                              SamplingPolicy fallback =
-                                  SamplingPolicy::kClustered);
+SweepOptions sweepOptions(const Args &args,
+                          const std::vector<RunOptions> &options,
+                          SamplingPolicy section_default =
+                              SamplingPolicy::kOff);
 
 /**
  * The standard driver preamble: cores + nominal record budgets
@@ -123,6 +124,9 @@ class JsonWriter
  *   schema_version  bumped when the shared key set changes
  *   bench           @p bench_name
  *   smoke           1 when the run is the sampled/smoke quick-look
+ *   smoke_sampling  policy --smoke sweeps use ("uniform"; "off" when
+ *                   not smoke), so a change of the smoke sampler
+ *                   re-baselines instead of reading as counter drift
  *   git_sha         gitSha()
  * Driver-specific config and measured/expected counters follow, and
  * finishStandardJson() closes the object. Keeping the frame uniform is

@@ -37,7 +37,7 @@ main()
     lc0.docIdStride = lc1.docIdStride = 2;
     lc1.docIdOffset = 1;
     LeafServer leaf0(index, lc0), leaf1(index, lc1);
-    ServingTree tree({&leaf0, &leaf1}, 1024);
+    MultiLevelTree tree({&leaf0, &leaf1}, /*fanout=*/2, 1024);
 
     QueryGenerator::Config qc;
     qc.vocabSize = cc.vocabSize;

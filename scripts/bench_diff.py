@@ -82,17 +82,17 @@ GATES = {
         "invariants": [("scaling_rows_ok", 1)],
     },
     "replacement": {
-        "config": ["smoke"],
-        # compat_identical == 1 asserts the generator-built hierarchy
-        # reproduced the legacy HierarchyConfig counters bit-exactly.
-        "counters": ["compat_identical"],
+        # smoke_sampling is config: a change of the --smoke sampler
+        # re-baselines the smoke rows instead of reading as drift.
+        "config": ["smoke", "smoke_sampling"],
+        "counters": [],
         "rows": {
             "field": "rows",
             "key_by": ["l3_capacity", "variant"],
             "counters": ["l3_accesses", "l3_misses",
                          "back_invalidations", "instructions"],
         },
-        "invariants": [("compat_identical", 1)],
+        "invariants": [],
     },
     "micro": {
         "config": ["smoke"],
@@ -121,9 +121,10 @@ GATES = {
         # the clustered-vs-oracle statistical gate -- the binary also
         # exits nonzero on it, but asserting it here means a stale or
         # hand-edited artifact cannot pass either.
-        "config": ["smoke", "cores", "scaled_measure_records",
-                   "scaled_warmup_records", "nominal_measure_records",
-                   "nominal_warmup_records", "gate_records",
+        "config": ["smoke", "smoke_sampling", "cores",
+                   "scaled_measure_records", "scaled_warmup_records",
+                   "nominal_measure_records", "nominal_warmup_records",
+                   "gate_records",
                    "sampling_policy", "sample_window_records",
                    "sample_clusters", "sample_seed"],
         "counters": ["gate_oracle_l3_misses",
@@ -138,9 +139,10 @@ GATES = {
         "invariants": [("band_violations", 0)],
     },
     "fig8": {
-        "config": ["smoke", "cores", "scaled_measure_records",
-                   "scaled_warmup_records", "nominal_measure_records",
-                   "nominal_warmup_records", "sampling_policy",
+        "config": ["smoke", "smoke_sampling", "cores",
+                   "scaled_measure_records", "scaled_warmup_records",
+                   "nominal_measure_records", "nominal_warmup_records",
+                   "sampling_policy",
                    "sample_window_records", "sample_clusters",
                    "sample_seed"],
         "counters": [],
@@ -153,7 +155,7 @@ GATES = {
         "invariants": [],
     },
     "fig9": {
-        "config": ["smoke", "scaled_measure_records",
+        "config": ["smoke", "smoke_sampling", "scaled_measure_records",
                    "scaled_warmup_records", "nominal_measure_records",
                    "nominal_warmup_records", "sampling_policy",
                    "sample_window_records", "sample_clusters",
@@ -168,7 +170,7 @@ GATES = {
         "invariants": [],
     },
     "fig13": {
-        "config": ["smoke", "cores", "l3_sim_bytes",
+        "config": ["smoke", "smoke_sampling", "cores", "l3_sim_bytes",
                    "scaled_measure_records", "scaled_warmup_records",
                    "nominal_measure_records", "nominal_warmup_records",
                    "sampling_policy", "sample_window_records",
@@ -316,7 +318,7 @@ def _sample():
                 ],
             },
             "fig8": {
-                "smoke": 1, "cores": 16,
+                "smoke": 1, "smoke_sampling": "uniform", "cores": 16,
                 "scaled_measure_records": 16000000,
                 "scaled_warmup_records": 32000000,
                 "nominal_measure_records": 24000000,
@@ -337,7 +339,7 @@ def _sample():
                 ],
             },
             "fig6bc": {
-                "smoke": 1, "cores": 16,
+                "smoke": 1, "smoke_sampling": "uniform", "cores": 16,
                 "scaled_measure_records": 3000000,
                 "scaled_warmup_records": 6000000,
                 "nominal_measure_records": 3000000,
@@ -362,7 +364,7 @@ def _sample():
                 ],
             },
             "replacement": {
-                "smoke": 1, "compat_identical": 1,
+                "smoke": 1, "smoke_sampling": "uniform",
                 "wall_time_sec": 3.0,
                 "rows": [
                     {"l3_capacity": 9437184, "variant": "srrip",
@@ -412,12 +414,12 @@ def selftest():
         slow["benches"]["leaf"]["wall_time_sec"] = 13.0
         assert run_diff(write(slow, "slow.json"), base) == []
 
-        # 6. A failed legacy-compat oracle fails even with no
-        # baseline (in-run invariant).
-        nocompat = _sample()
-        nocompat["benches"]["replacement"]["compat_identical"] = 0
-        assert run_diff(write(nocompat, "nocompat.json"),
-                        os.path.join(tmp, "missing.json"))
+        # 6. A change of the --smoke sampler is a config change: the
+        # smoke rows re-baseline instead of reading as counter drift.
+        resampled = _sample()
+        resampled["benches"]["replacement"]["smoke_sampling"] = "off"
+        resampled["benches"]["replacement"]["rows"][0]["l3_misses"] += 3
+        assert run_diff(write(resampled, "resampled.json"), base) == []
 
         # 7. Replacement-row miss drift fails.
         rdrift = _sample()

@@ -70,7 +70,7 @@ std::vector<SystemResult>
 runWorkloadSweep(const WorkloadProfile &profile,
                  const PlatformConfig &platform,
                  const std::vector<RunOptions> &options,
-                 const SweepControl &control)
+                 const SweepOptions &opt)
 {
     // Traces depend on the hardware-thread count, so variations are
     // grouped by cores x smtWays and each group shares one buffer
@@ -99,7 +99,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
 
     // Generation is itself embarrassingly parallel across groups
     // (each group owns an independent deterministic source).
-    runParallelJobs(groups.size(), control.threads, [&](size_t gi) {
+    runParallelJobs(groups.size(), opt.threads, [&](size_t gi) {
         SyntheticSearchTrace src(profile, groups[gi].threads);
         groups[gi].trace =
             BufferedTrace::materialize(src, groups[gi].records);
@@ -108,14 +108,11 @@ runWorkloadSweep(const WorkloadProfile &profile,
     // Representative plans depend only on (trace, total records): one
     // plan per distinct (group, budget) pair, shared by every
     // configuration replaying that trace prefix.
-    const bool planned = control.policy != SamplingPolicy::kOff &&
-        control.rep.enabled();
+    const bool planned =
+        opt.policy != SamplingPolicy::kOff && opt.rep.enabled();
     std::vector<SamplingPlan> plans;
     std::vector<size_t> job_plan(options.size(), 0);
     if (planned) {
-        SweepOptions sweep_opt;
-        sweep_opt.policy = control.policy;
-        sweep_opt.rep = control.rep;
         std::map<std::pair<size_t, uint64_t>, size_t> plan_of;
         std::vector<std::pair<size_t, uint64_t>> plan_keys;
         for (size_t i = 0; i < options.size(); ++i) {
@@ -128,73 +125,49 @@ runWorkloadSweep(const WorkloadProfile &profile,
             job_plan[i] = it->second;
         }
         plans.resize(plan_keys.size());
-        runParallelJobs(plan_keys.size(), control.threads,
+        runParallelJobs(plan_keys.size(), opt.threads,
                         [&](size_t pi) {
             plans[pi] = buildSweepPlan(
                 *groups[plan_keys[pi].first].trace,
-                plan_keys[pi].second, sweep_opt);
+                plan_keys[pi].second, opt);
         });
     }
 
     std::vector<SystemResult> results(options.size());
-    runParallelJobs(options.size(), control.threads, [&](size_t i) {
+    runParallelJobs(options.size(), opt.threads, [&](size_t i) {
         SystemSimulator sim(
             makeSystemConfig(profile, platform, options[i]));
         const BufferedTrace &trace = *groups[job_group[i]].trace;
-        if (planned)
-            results[i] = sim.runPlanned(trace, plans[job_plan[i]]);
-        else if (control.sampling.enabled())
-            results[i] = sim.runSampled(trace, budgets[i].total(),
-                                        control.sampling);
-        else
-            results[i] = sim.run(trace, budgets[i].warmup,
-                                 budgets[i].measure);
+        results[i] = planned
+            ? sim.runPlanned(trace, plans[job_plan[i]])
+            : sim.run(trace, budgets[i].warmup, budgets[i].measure);
     });
     return results;
 }
 
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
-             const SweepControl &control)
+             const SweepOptions &opt)
 {
-    const bool planned = control.policy != SamplingPolicy::kOff &&
-        control.rep.enabled();
+    const bool planned =
+        opt.policy != SamplingPolicy::kOff && opt.rep.enabled();
     std::vector<SystemResult> results(specs.size());
-    runParallelJobs(specs.size(), control.threads, [&](size_t i) {
+    runParallelJobs(specs.size(), opt.threads, [&](size_t i) {
         const WorkloadSpec &s = specs[i];
-        if (planned || control.sampling.enabled()) {
-            const RecordBudget budget = recordBudget(s.opt);
-            SyntheticSearchTrace src(s.profile,
-                                     s.opt.cores * s.opt.smtWays);
-            const std::shared_ptr<const BufferedTrace> trace =
-                BufferedTrace::materialize(src, budget.total());
-            SystemSimulator sim(
-                makeSystemConfig(s.profile, s.platform, s.opt));
-            if (planned) {
-                SweepOptions sweep_opt;
-                sweep_opt.policy = control.policy;
-                sweep_opt.rep = control.rep;
-                results[i] = sim.runPlanned(
-                    *trace,
-                    buildSweepPlan(*trace, budget.total(), sweep_opt));
-            } else {
-                results[i] = sim.runSampled(*trace, budget.total(),
-                                            control.sampling);
-            }
-        } else {
-            results[i] =
-                runWorkload(s.profile, s.platform, s.opt);
+        if (!planned) {
+            results[i] = runWorkload(s.profile, s.platform, s.opt);
+            return;
         }
+        const RecordBudget budget = recordBudget(s.opt);
+        SyntheticSearchTrace src(s.profile, s.opt.cores * s.opt.smtWays);
+        const std::shared_ptr<const BufferedTrace> trace =
+            BufferedTrace::materialize(src, budget.total());
+        SystemSimulator sim(
+            makeSystemConfig(s.profile, s.platform, s.opt));
+        results[i] = sim.runPlanned(
+            *trace, buildSweepPlan(*trace, budget.total(), opt));
     });
     return results;
-}
-
-std::vector<SystemResult>
-runWorkloads(const std::vector<WorkloadSpec> &specs, uint32_t threads)
-{
-    SweepControl control;
-    control.threads = threads;
-    return runWorkloads(specs, control);
 }
 
 HitRateCurve

@@ -39,7 +39,7 @@ struct RunOptions
     PrefetchConfig prefetch;
     bool modelTlb = false;
     bool hugePages = false;
-    /** LLC inclusion mode (Inclusive = legacy inclusiveL3). */
+    /** LLC inclusion mode. */
     InclusionMode llcInclusion = InclusionMode::NINE;
     std::optional<ReplPolicy> llcRepl; ///< override LLC replacement
     uint32_t llcSlices = 1;            ///< address-hashed LLC slices
@@ -67,21 +67,6 @@ SystemResult runWorkload(const WorkloadProfile &profile,
                          const PlatformConfig &platform,
                          const RunOptions &opt);
 
-/** Knobs of a parallel workload sweep (see runWorkloadSweep). */
-struct SweepControl
-{
-    uint32_t threads = 0;      ///< worker threads; 0 = simThreads()
-    /**
-     * Representative-window sampling policy. kUniform/kClustered (with
-     * rep enabled) replace each variation's contiguous replay with a
-     * planned representative-window replay carrying a confidence band;
-     * kOff falls back to @p sampling when that is enabled, else exact.
-     */
-    SamplingPolicy policy = SamplingPolicy::kOff;
-    RepresentativeSampling rep; ///< kUniform/kClustered knobs
-    SampledIntervals sampling;  ///< legacy periodic quick-look mode
-};
-
 /**
  * The parallel sweep: run every RunOptions variation against the same
  * workload/platform concurrently. The trace is generated ONCE per
@@ -90,15 +75,16 @@ struct SweepControl
  * the shared buffer through its own private simulator on a worker
  * thread. Results are positionally matched to @p options and
  * bit-identical to serial runWorkload calls at any thread count --
- * unless @p control.sampling is enabled, which replaces each
- * variation's contiguous warmup+measure replay with periodic sampled
- * windows (results then carry sampledWindows != 0).
+ * unless @p opt selects a sampling policy, which replaces each
+ * variation's contiguous warmup+measure replay with a planned
+ * representative-window replay over its warmup+measure budget
+ * (results then carry sampledWindows != 0 and a confidence band).
  */
 std::vector<SystemResult>
 runWorkloadSweep(const WorkloadProfile &profile,
                  const PlatformConfig &platform,
                  const std::vector<RunOptions> &options,
-                 const SweepControl &control = {});
+                 const SweepOptions &opt = {});
 
 /** One independent (workload, platform, variation) job. */
 struct WorkloadSpec
@@ -111,15 +97,13 @@ struct WorkloadSpec
 /**
  * Run heterogeneous workload jobs in parallel (e.g. the Table I
  * rows). Each job generates its own trace -- nothing is shared, so
- * results are bit-identical to serial runWorkload calls unless
- * @p control.sampling is enabled (sampled quick-look estimates).
+ * results are bit-identical to serial runWorkload calls unless @p opt
+ * selects a sampling policy (each job then replays a plan built over
+ * its own trace and budget).
  */
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
-             const SweepControl &control);
-std::vector<SystemResult>
-runWorkloads(const std::vector<WorkloadSpec> &specs,
-             uint32_t threads = 0);
+             const SweepOptions &opt = {});
 
 /**
  * Sweep total L3 capacity and return the overall L3 hit-rate curve

@@ -104,22 +104,10 @@ SystemSimulator::pumpRange(const BufferedTrace &trace, uint64_t begin,
 }
 
 SystemResult
-SystemSimulator::harvestCounters() const
+SystemSimulator::harvest() const
 {
-    SystemResult res;
-    res.instructions = core_.instructions();
-    res.l1i = hier_.l1iStats();
-    res.l1d = hier_.l1dStats();
-    res.l2 = hier_.l2Stats();
-    res.l3 = hier_.l3Stats();
-    res.l4 = hier_.l4Stats();
-    res.l3Evictions = hier_.l3Evictions();
-    res.writebacks = hier_.writebacks();
-    res.backInvalidations = hier_.backInvalidations();
-    const CoherenceStats coh = hier_.cohStats();
-    res.cohUpgrades = coh.upgrades;
-    res.cohInvalidations = coh.invalidations;
-    res.cohDirtyWritebacks = coh.dirtyWritebacks;
+    SystemResult res =
+        harvestCounters<SystemResult>(hier_, core_.instructions());
     res.branches = branches_;
     res.mispredicts = mispredicts_;
     res.dtlbAccesses = dtlbAccesses_;
@@ -161,7 +149,7 @@ SystemSimulator::run(TraceSource &src, uint64_t warmup, uint64_t measure)
     pump(src, warmup);
     resetStats();
     pump(src, measure);
-    SystemResult res = harvestCounters();
+    SystemResult res = harvest();
     finalizeDerived(res);
     return res;
 }
@@ -173,39 +161,9 @@ SystemSimulator::run(const BufferedTrace &trace, uint64_t warmup,
     const uint64_t warmed = pumpRange(trace, 0, warmup);
     resetStats();
     pumpRange(trace, warmed, measure);
-    SystemResult res = harvestCounters();
+    SystemResult res = harvest();
     finalizeDerived(res);
     return res;
-}
-
-SystemResult
-SystemSimulator::runSampled(const BufferedTrace &trace, uint64_t total,
-                            const SampledIntervals &s)
-{
-    if (!s.enabled())
-        return run(trace, 0, total);
-    total = std::min(total, trace.size());
-    SystemResult acc;
-    for (uint64_t period = 0; period < total;
-         period += s.periodRecords) {
-        const uint64_t window_end =
-            std::min(total, period + s.periodRecords);
-        const uint64_t warm =
-            std::min(s.warmupRecords, window_end - period);
-        pumpRange(trace, period, warm);
-        const uint64_t measure_begin = period + warm;
-        if (measure_begin >= window_end)
-            continue;
-        resetStats();
-        pumpRange(trace, measure_begin,
-                  std::min(s.measureRecords,
-                           window_end - measure_begin));
-        SystemResult window = harvestCounters();
-        window.sampledWindows = 1;
-        acc += window;
-    }
-    finalizeDerived(acc);
-    return acc;
 }
 
 SystemResult
@@ -214,32 +172,13 @@ SystemSimulator::runPlanned(const BufferedTrace &trace,
 {
     if (!plan.enabled())
         return run(trace, 0, trace.size());
-    SystemResult acc;
-    std::vector<double> metric;
-    metric.reserve(plan.windows.size());
-    uint64_t pos = 0; // replay cursor: state is carried across gaps
-    for (const SampleWindow &w : plan.windows) {
-        const uint64_t warm_begin = std::max(
-            pos, w.begin > plan.warmupRecords
-                ? w.begin - plan.warmupRecords : 0);
-        if (warm_begin < w.begin)
-            pumpRange(trace, warm_begin, w.begin - warm_begin);
-        resetStats();
-        const uint64_t done = pumpRange(trace, w.begin, w.records);
-        const SystemResult win = harvestCounters();
-        metric.push_back(static_cast<double>(win.l3.totalMisses()));
-        // Weight-merge strictly via operator+=: the representative
-        // stands for `weight` windows of its cluster.
-        SystemResult scaled;
-        for (uint64_t r = 0; r < w.weight; ++r)
-            scaled += win;
-        scaled.sampledWindows = 1;
-        scaled.representedWindows = w.weight;
-        acc += scaled;
-        pos = w.begin + done;
-    }
-    acc.l3MissVar = planVariance(
-        plan, metric, static_cast<double>(acc.l3.totalMisses()));
+    SystemResult acc = replayPlan<SystemResult>(
+        plan,
+        [&](uint64_t begin, uint64_t count) {
+            return pumpRange(trace, begin, count);
+        },
+        [&] { resetStats(); },
+        [&](uint64_t) { return harvest(); });
     finalizeDerived(acc);
     return acc;
 }

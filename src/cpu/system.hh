@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cpu/branch.hh"
@@ -193,23 +192,12 @@ class SystemSimulator
                      uint64_t measure);
 
     /**
-     * Sampled-interval replay of the first @p total buffer records
-     * (see SampledIntervals): per-window counters are merged and the
-     * result's sampledWindows is nonzero. Derived metrics are
-     * recomputed over the merged counters.
-     */
-    SystemResult runSampled(const BufferedTrace &trace, uint64_t total,
-                            const SampledIntervals &sampling);
-
-    /**
-     * Planned representative-window replay (see runTracePlanned):
-     * windows visited in position order on this one system, predictor
-     * and cache state carried across gaps, per-window counters
-     * weight-merged via operator+=. The result carries the confidence
-     * band (l3MissVar) and window accounting; derived metrics are
-     * recomputed over the merged counters. A plan selecting every
-     * window with weight 1 reproduces the exact contiguous replay
-     * bit-identically.
+     * Planned representative-window replay (see replayPlan): windows
+     * visited in position order on this one system, predictor and
+     * cache state carried across gaps. Derived metrics are recomputed
+     * over the merged counters. A plan selecting every window with
+     * weight 1 reproduces the exact contiguous replay bit-identically;
+     * a disabled plan replays the whole trace exactly.
      */
     SystemResult runPlanned(const BufferedTrace &trace,
                             const SamplingPlan &plan);
@@ -223,7 +211,7 @@ class SystemSimulator
                        uint64_t count);
     void resetStats();
     /** Read the current counters off every component. */
-    SystemResult harvestCounters() const;
+    SystemResult harvest() const;
     /** Compute IPC / AMAT over @p res's (possibly merged) counters. */
     void finalizeDerived(SystemResult &res) const;
 

@@ -2,11 +2,6 @@
 
 namespace wsearch {
 
-CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg)
-    : CacheHierarchy(HierarchySpec::fromLegacy(cfg))
-{
-}
-
 CacheHierarchy::CacheHierarchy(const HierarchySpec &spec) : spec_(spec)
 {
     wsearch_assert(spec.numCores >= 1);
@@ -133,7 +128,7 @@ CacheHierarchy::fillLlcFromL2Eviction(uint64_t evicted, bool dirty)
             handleLlcEviction(ev, ev_dirty);
         return;
     }
-    // NINE / inclusive: only dirty victims propagate down (the legacy
+    // NINE / inclusive: only dirty victims propagate down (the original
     // model, preserved bit-for-bit -- including not tracking the
     // writeback insert's own victim).
     if (dirty) {

@@ -20,38 +20,10 @@ pump(TraceSource &src, CacheHierarchy &hier, uint64_t count)
         const size_t got = src.fill(buf, want);
         if (got == 0)
             break;
-        for (size_t i = 0; i < got; ++i) {
-            const TraceRecord &r = buf[i];
-            hier.accessInstr(r.tid, r.pc);
-            if (r.hasData()) {
-                hier.accessData(r.tid, r.pc, r.addr, r.isStore(),
-                                r.kind);
-            }
-        }
+        pumpSpan(hier, buf, got);
         done += got;
     }
     return done;
-}
-
-/** Read the hierarchy's current counters into a SimResult. */
-SimResult
-harvest(const CacheHierarchy &hier, uint64_t instructions)
-{
-    SimResult res;
-    res.instructions = instructions;
-    res.l1i = hier.l1iStats();
-    res.l1d = hier.l1dStats();
-    res.l2 = hier.l2Stats();
-    res.l3 = hier.l3Stats();
-    res.l4 = hier.l4Stats();
-    res.l3Evictions = hier.l3Evictions();
-    res.writebacks = hier.writebacks();
-    res.backInvalidations = hier.backInvalidations();
-    const CoherenceStats coh = hier.cohStats();
-    res.cohUpgrades = coh.upgrades;
-    res.cohInvalidations = coh.invalidations;
-    res.cohDirtyWritebacks = coh.dirtyWritebacks;
-    return res;
 }
 
 } // namespace
@@ -62,7 +34,7 @@ runTrace(TraceSource &src, CacheHierarchy &hier, uint64_t warmup,
 {
     pump(src, hier, warmup);
     hier.resetStats();
-    return harvest(hier, pump(src, hier, measure));
+    return harvestCounters(hier, pump(src, hier, measure));
 }
 
 void
@@ -99,7 +71,7 @@ runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
 {
     const uint64_t warmed = pumpRange(trace, hier, 0, warmup);
     hier.resetStats();
-    return harvest(hier, pumpRange(trace, hier, warmed, measure));
+    return harvestCounters(hier, pumpRange(trace, hier, warmed, measure));
 }
 
 } // namespace wsearch

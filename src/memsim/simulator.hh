@@ -34,15 +34,14 @@ struct SimResult
     /**
      * Number of sampled measurement windows merged into this result
      * (0 = exact, contiguous measurement). Nonzero results come from
-     * the sweep engine's opt-in sampled-interval mode and must be
-     * reported as sampled estimates.
+     * a SamplingPlan replay and must be reported as sampled estimates.
      */
     uint64_t sampledWindows = 0;
     /**
      * Windows this estimate stands for (the sum of plan weights);
-     * 0 for exact runs and legacy periodic sampling. When nonzero,
-     * counters are weighted totals over representedWindows windows,
-     * of which only sampledWindows were simulated.
+     * 0 for exact runs. When nonzero, counters are weighted totals
+     * over representedWindows windows, of which only sampledWindows
+     * were simulated.
      */
     uint64_t representedWindows = 0;
     /**
@@ -115,6 +114,32 @@ struct SimResult
         return *this;
     }
 };
+
+/**
+ * Read @p hier's current counters into a Result (SimResult, or any
+ * result type carrying the same hierarchy fields, e.g. SystemResult)
+ * covering @p instructions records (one measured window or run).
+ */
+template <typename Result = SimResult>
+Result
+harvestCounters(const CacheHierarchy &hier, uint64_t instructions)
+{
+    Result res;
+    res.instructions = instructions;
+    res.l1i = hier.l1iStats();
+    res.l1d = hier.l1dStats();
+    res.l2 = hier.l2Stats();
+    res.l3 = hier.l3Stats();
+    res.l4 = hier.l4Stats();
+    res.l3Evictions = hier.l3Evictions();
+    res.writebacks = hier.writebacks();
+    res.backInvalidations = hier.backInvalidations();
+    const CoherenceStats coh = hier.cohStats();
+    res.cohUpgrades = coh.upgrades;
+    res.cohInvalidations = coh.invalidations;
+    res.cohDirtyWritebacks = coh.dirtyWritebacks;
+    return res;
+}
 
 /**
  * Run @p warmup records (stats discarded), then @p measure records.

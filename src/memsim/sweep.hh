@@ -10,16 +10,16 @@
  * bit-identical SimResults to the serial runTrace.
  *
  * The worker count comes from WSEARCH_SIM_THREADS (default: hardware
- * concurrency). An opt-in sampled-interval mode (periodic
- * warmup+measure windows, counters merged across windows) trades
- * exactness for speed on quick-look / CI sweeps; sampled results
- * carry a nonzero SimResult::sampledWindows and must be reported as
- * estimates.
+ * concurrency). A SamplingPlan trades exactness for speed: only
+ * representative windows are simulated and weight-merged, and the
+ * results carry nonzero SimResult::sampledWindows plus a confidence
+ * band and must be reported as estimates.
  */
 
 #ifndef WSEARCH_MEMSIM_SWEEP_HH
 #define WSEARCH_MEMSIM_SWEEP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -37,39 +37,6 @@ namespace wsearch {
 uint32_t simThreads();
 
 /**
- * Periodic sampling plan: each period simulates @p warmupRecords
- * (counters discarded) followed by @p measureRecords (counters
- * merged), then skips to the next period boundary. Cache state is
- * carried across the skip, which is the usual sampled-simulation
- * bias: the warmup window re-warms recency state but cannot recover
- * the skipped footprint, so results are estimates.
- */
-struct SampledIntervals
-{
-    uint64_t periodRecords = 0;  ///< window stride; 0 disables sampling
-    uint64_t warmupRecords = 0;  ///< per-window warmup
-    uint64_t measureRecords = 0; ///< per-window measurement
-
-    bool
-    enabled() const
-    {
-        return periodRecords > 0 &&
-            measureRecords > 0 &&
-            warmupRecords + measureRecords <= periodRecords;
-    }
-
-    /** Fraction of the trace actually simulated. */
-    double
-    simulatedFraction() const
-    {
-        if (!enabled())
-            return 1.0;
-        return static_cast<double>(warmupRecords + measureRecords) /
-            static_cast<double>(periodRecords);
-    }
-};
-
-/**
  * How a sweep trades replay completeness for speed:
  *   kOff        exact contiguous warmup+measure replay
  *   kUniform    evenly spaced representative windows, equal weights
@@ -77,8 +44,6 @@ struct SampledIntervals
  *               representative per cluster, weighted by cluster size)
  * Both sampled policies attach a confidence band to the estimate (see
  * SimResult::l3MissBandLo/Hi); kOff results are exact and band-free.
- * The legacy periodic SampledIntervals mode remains reachable with
- * policy == kOff plus sampling.enabled() (the --smoke quick-look).
  */
 enum class SamplingPolicy : uint8_t {
     kOff = 0,
@@ -217,11 +182,9 @@ double planVariance(const SamplingPlan &plan,
 struct SweepOptions
 {
     uint32_t threads = 0;      ///< 0: simThreads()
-    /** Representative-window policy; kOff falls back to @p sampling
-     *  (legacy periodic windows) when that is enabled, else exact. */
+    /** Representative-window policy; kOff replays exactly. */
     SamplingPolicy policy = SamplingPolicy::kOff;
     RepresentativeSampling rep; ///< kUniform/kClustered knobs
-    SampledIntervals sampling;  ///< legacy periodic mode (--smoke)
 };
 
 /**
@@ -242,24 +205,56 @@ void runParallelJobs(size_t njobs, uint32_t threads,
                      const std::function<void(size_t)> &job);
 
 /**
- * Sampled-interval replay of [0, @p total) of @p trace (see
- * SampledIntervals). Counters are merged across measurement windows;
- * the result's sampledWindows records how many were merged.
+ * The planned-replay window walk behind runTracePlanned and
+ * SystemSimulator::runPlanned. Windows are visited in position order
+ * on ONE simulator whose state is carried across the skipped gaps:
+ * up to plan.warmupRecords before each window are re-warmed through
+ * @p pump(begin, count) (which returns the records it replayed), then
+ * @p reset() clears the stats, the window is replayed and
+ * @p harvest(records) reads its counters. Each window is weight-merged
+ * strictly via Result::operator+= (the representative stands for
+ * `weight` windows), and the total carries sampledWindows,
+ * representedWindows and the planVariance band (l3MissVar).
  */
-SimResult runTraceSampled(const BufferedTrace &trace,
-                          CacheHierarchy &hier, uint64_t total,
-                          const SampledIntervals &sampling);
+template <typename Result, typename Pump, typename Reset,
+          typename Harvest>
+Result
+replayPlan(const SamplingPlan &plan, Pump pump, Reset reset,
+           Harvest harvest)
+{
+    Result acc;
+    std::vector<double> metric;
+    metric.reserve(plan.windows.size());
+    uint64_t pos = 0; // replay cursor: state is carried across gaps
+    for (const SampleWindow &w : plan.windows) {
+        const uint64_t warm_begin = std::max(
+            pos, w.begin > plan.warmupRecords
+                ? w.begin - plan.warmupRecords : 0);
+        if (warm_begin < w.begin)
+            pump(warm_begin, w.begin - warm_begin);
+        reset();
+        const uint64_t done = pump(w.begin, w.records);
+        const Result win = harvest(done);
+        metric.push_back(static_cast<double>(win.l3.totalMisses()));
+        Result scaled;
+        for (uint64_t r = 0; r < w.weight; ++r)
+            scaled += win;
+        scaled.sampledWindows = 1;
+        scaled.representedWindows = w.weight;
+        acc += scaled;
+        pos = w.begin + done;
+    }
+    acc.l3MissVar = planVariance(
+        plan, metric, static_cast<double>(acc.l3.totalMisses()));
+    return acc;
+}
 
 /**
- * Planned representative-window replay: windows are visited in
- * position order on ONE hierarchy (state carried across the skipped
- * gaps; up to plan.warmupRecords re-warmed before each window with
- * stats off), each window's counters are harvested and weight-merged
- * via SimResult::operator+=, and the result carries the confidence
- * band (l3MissVar), sampledWindows == windows simulated, and
- * representedWindows == total windows represented. A plan selecting
- * every window with weight 1 reproduces the exact contiguous replay
- * bit-identically.
+ * Planned representative-window replay of @p hier (see replayPlan):
+ * sampledWindows == windows simulated, representedWindows == total
+ * windows represented. A plan selecting every window with weight 1
+ * reproduces the exact contiguous replay bit-identically; a disabled
+ * plan replays the whole trace exactly.
  */
 SimResult runTracePlanned(const BufferedTrace &trace,
                           CacheHierarchy &hier,
@@ -270,19 +265,13 @@ SimResult runTracePlanned(const BufferedTrace &trace,
  * configuration, @p warmup records of warmup then @p measure records
  * of measurement each, in parallel. Result i belongs to config i and
  * is bit-identical to serial runTrace at any thread count (unless
- * sampling is enabled, which replaces the warmup/measure split with
- * windows over the first warmup+measure records).
+ * @p opt selects a sampling plan, which replaces the warmup/measure
+ * split with representative windows over the first warmup+measure
+ * records).
  */
 std::vector<SimResult>
 sweepHierarchies(const BufferedTrace &trace,
                  const std::vector<HierarchySpec> &specs,
-                 uint64_t warmup, uint64_t measure,
-                 const SweepOptions &opt = {});
-
-/** Legacy-config overload: maps each config via fromLegacy. */
-std::vector<SimResult>
-sweepHierarchies(const BufferedTrace &trace,
-                 const std::vector<HierarchyConfig> &configs,
                  uint64_t warmup, uint64_t measure,
                  const SweepOptions &opt = {});
 

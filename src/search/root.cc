@@ -77,46 +77,6 @@ RootServer::mergeWithCoverage(
     return page;
 }
 
-ServingTree::ServingTree(std::vector<LeafServer *> leaves,
-                         size_t cache_capacity)
-    : leaves_(std::move(leaves)), cache_(cache_capacity)
-{
-    wsearch_assert(!leaves_.empty());
-}
-
-SearchResponse
-ServingTree::handle(uint32_t tid, const SearchRequest &req)
-{
-    const Query &query = req.query;
-    SearchResponse resp;
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lk(cacheMu_);
-        if (cache_.lookup(query.id, &resp.docs)) {
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
-            return resp;
-        }
-    }
-    std::vector<std::vector<ScoredDoc>> partials;
-    partials.reserve(leaves_.size());
-    for (LeafServer *leaf : leaves_) {
-        const uint32_t leaf_tid = tid % leaf->numThreads();
-        SearchResponse leaf_resp = leaf->serve(leaf_tid, req);
-        resp.stats.merge(leaf_resp.stats);
-        resp.degraded = resp.degraded || leaf_resp.degraded ||
-            !leaf_resp.ok;
-        partials.push_back(std::move(leaf_resp.docs));
-        leafQueries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    resp.docs = RootServer::merge(partials, query.topK);
-    if (!resp.degraded) {
-        std::lock_guard<std::mutex> lk(cacheMu_);
-        cache_.insert(query.id, resp.docs);
-    }
-    return resp;
-}
-
-
 MultiLevelTree::MultiLevelTree(std::vector<LeafServer *> leaves,
                                uint32_t fanout, size_t cache_capacity)
     : cache_(cache_capacity)
@@ -171,6 +131,5 @@ MultiLevelTree::handle(uint32_t tid, const SearchRequest &req)
     }
     return resp;
 }
-
 
 } // namespace wsearch

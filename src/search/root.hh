@@ -106,63 +106,12 @@ class RootServer
                       uint32_t k);
 };
 
-/** The full serving system: cache tier + root + leaves. */
-class ServingTree
-{
-  public:
-    /** Plain counter snapshot (the atomics live in the tree). */
-    struct Stats
-    {
-        uint64_t queries = 0;
-        uint64_t cacheHits = 0;
-        uint64_t leafQueries = 0; ///< queries that reached the leaves
-    };
-
-    /**
-     * @param leaves non-owning; leaf i must serve partition i of the
-     *               global document space
-     * @param cache_capacity query-result cache entries (0 disables)
-     */
-    ServingTree(std::vector<LeafServer *> leaves, size_t cache_capacity);
-
-    /**
-     * Handle one request end-to-end on logical thread @p tid.
-     * Thread-safe for concurrent callers with distinct tids, each
-     * tid < every leaf's numThreads (LeafServer::serve's contract);
-     * the cache tier is mutex-guarded and the stats are atomic.
-     * Deadline/cancel propagate to every leaf; a degraded response
-     * (some leaf abandoned mid-query) is never cached.
-     * @return final merged results (served from cache when possible)
-     */
-    SearchResponse handle(uint32_t tid, const SearchRequest &req);
-
-    /** Consistent-enough counter snapshot, safe mid-traffic. */
-    Stats
-    stats() const
-    {
-        Stats s;
-        s.queries = queries_.load(std::memory_order_relaxed);
-        s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-        s.leafQueries = leafQueries_.load(std::memory_order_relaxed);
-        return s;
-    }
-
-    /** The cache tier; callers must not race with handle(). */
-    QueryCacheServer &cache() { return cache_; }
-
-  private:
-    std::vector<LeafServer *> leaves_;
-    mutable std::mutex cacheMu_;
-    QueryCacheServer cache_; ///< guarded by cacheMu_
-    std::atomic<uint64_t> queries_{0};
-    std::atomic<uint64_t> cacheHits_{0};
-    std::atomic<uint64_t> leafQueries_{0};
-};
-
 /**
- * Multi-level serving tree (paper Figure 1): the root fans out to
- * intermediate parents, each responsible for a group of leaves and
- * performing its own score/merge step before the root's final merge.
+ * The serial serving tree (paper Figure 1): a query-cache tier in
+ * front of a root that fans out to intermediate parents, each
+ * responsible for a group of leaves and performing its own
+ * score/merge step before the root's final merge. A fanout of
+ * leaves.size() gives the flat cache + root + leaves tree.
  */
 class MultiLevelTree
 {
@@ -185,9 +134,14 @@ class MultiLevelTree
                    size_t cache_capacity);
 
     /**
-     * Handle one request through cache -> parents -> root merge.
-     * Thread-safe under the same contract as ServingTree::handle;
-     * degraded responses are never cached.
+     * Handle one request through cache -> parents -> root merge on
+     * logical thread @p tid. Thread-safe for concurrent callers with
+     * distinct tids (leaf i serves on tid % its numThreads(), per
+     * LeafServer::serve's contract); the cache tier is mutex-guarded
+     * and the stats are atomic. Deadline/cancel propagate to every
+     * leaf; a degraded response (some leaf abandoned mid-query) is
+     * never cached.
+     * @return final merged results (served from cache when possible)
      */
     SearchResponse handle(uint32_t tid, const SearchRequest &req);
 

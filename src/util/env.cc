@@ -1,9 +1,30 @@
 #include "util/env.hh"
 
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <string>
+
+#include "util/logging.hh"
 
 namespace wsearch {
+
+bool
+parseU64(const char *s, uint64_t &out)
+{
+    if (!*s)
+        return false;
+    uint64_t v = 0;
+    for (; *s; ++s) {
+        if (*s < '0' || *s > '9')
+            return false;
+        const uint64_t digit = static_cast<uint64_t>(*s - '0');
+        if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10)
+            return false; // overflow
+        v = v * 10 + digit;
+    }
+    out = v;
+    return true;
+}
 
 uint64_t
 envU64(const char *name, uint64_t fallback)
@@ -11,10 +32,12 @@ envU64(const char *name, uint64_t fallback)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v)
-        return fallback;
+    uint64_t parsed = 0;
+    if (!parseU64(v, parsed)) {
+        const std::string msg = std::string(name) + "=\"" + v +
+            "\" is not an unsigned decimal integer";
+        wsearch_fatal(msg.c_str());
+    }
     return parsed;
 }
 

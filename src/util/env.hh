@@ -13,7 +13,18 @@
 
 namespace wsearch {
 
-/** Read an unsigned integer env var, or @p fallback when unset/invalid. */
+/**
+ * Parse @p s as a full unsigned decimal: digits only (no sign, no
+ * whitespace, no trailing characters) and no overflow. Returns false
+ * (leaving @p out untouched) on anything else.
+ */
+bool parseU64(const char *s, uint64_t &out);
+
+/**
+ * Read an unsigned integer env var, or @p fallback when unset or
+ * empty. Any other value that parseU64 rejects ("12abc", "-1", a
+ * value past 2^64-1) is fatal, naming the variable and its value.
+ */
 uint64_t envU64(const char *name, uint64_t fallback);
 
 /** True when WSEARCH_FAST is set to a nonzero value. */

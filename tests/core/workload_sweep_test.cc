@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiments.hh"
+#include "trace/synthetic.hh"
 #include "util/units.hh"
 
 namespace wsearch {
@@ -73,10 +74,10 @@ TEST(WorkloadSweep, BitIdenticalToSerialRunWorkloadAtAnyThreadCount)
         oracle.push_back(runWorkload(prof, plt, opt));
 
     for (const uint32_t threads : {1u, 4u}) {
-        SweepControl control;
-        control.threads = threads;
+        SweepOptions sweep;
+        sweep.threads = threads;
         const std::vector<SystemResult> got =
-            runWorkloadSweep(prof, plt, options, control);
+            runWorkloadSweep(prof, plt, options, sweep);
         ASSERT_EQ(got.size(), options.size());
         for (size_t i = 0; i < options.size(); ++i) {
             SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -99,7 +100,9 @@ TEST(WorkloadSweep, RunWorkloadsMatchesSerialPerSpecRuns)
     specs.push_back({WorkloadProfile::s2Leaf(),
                      PlatformConfig::plt2(), plt2_opt});
 
-    const std::vector<SystemResult> par = runWorkloads(specs, 3);
+    SweepOptions sweep;
+    sweep.threads = 3;
+    const std::vector<SystemResult> par = runWorkloads(specs, sweep);
     ASSERT_EQ(par.size(), specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE("spec=" + std::to_string(i));
@@ -109,23 +112,74 @@ TEST(WorkloadSweep, RunWorkloadsMatchesSerialPerSpecRuns)
     }
 }
 
+TEST(WorkloadSweep, RunWorkloadsPlannedMatchesPerSpecPlannedRuns)
+{
+    // The planned branch of runWorkloads (bench_table1 --smoke): each
+    // spec replays a plan built over its OWN trace and budget.
+    std::vector<WorkloadSpec> specs;
+    specs.push_back({WorkloadProfile::s1Leaf(),
+                     PlatformConfig::plt1(), smallOpt(2 * MiB)});
+    RunOptions small_opt = smallOpt(4 * MiB);
+    small_opt.cores = 2;
+    small_opt.measureRecords = 30'000;
+    specs.push_back({WorkloadProfile::s1Root(),
+                     PlatformConfig::plt1(), small_opt});
+    SweepOptions sweep;
+    sweep.policy = SamplingPolicy::kUniform;
+    sweep.rep.windowRecords = 3'000;
+    sweep.rep.warmupRecords = 3'000;
+    sweep.rep.sampleWindows = 5;
+
+    std::vector<SystemResult> want;
+    for (const WorkloadSpec &s : specs) {
+        const uint64_t total = recordBudget(s.opt).total();
+        SyntheticSearchTrace src(s.profile, s.opt.cores * s.opt.smtWays);
+        const auto trace = BufferedTrace::materialize(src, total);
+        SystemSimulator sim(
+            makeSystemConfig(s.profile, s.platform, s.opt));
+        want.push_back(sim.runPlanned(
+            *trace, buildSweepPlan(*trace, total, sweep)));
+    }
+    for (const uint32_t threads : {1u, 3u}) {
+        sweep.threads = threads;
+        const std::vector<SystemResult> got = runWorkloads(specs, sweep);
+        ASSERT_EQ(got.size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " spec=" + std::to_string(i));
+            expectSystemEq(got[i], want[i]);
+            EXPECT_EQ(got[i].sampledWindows, 5u);
+            EXPECT_EQ(got[i].sampledWindows, want[i].sampledWindows);
+            EXPECT_EQ(got[i].representedWindows,
+                      want[i].representedWindows);
+            EXPECT_EQ(got[i].l3MissVar, want[i].l3MissVar);
+            EXPECT_EQ(got[i].ipcPerThread, want[i].ipcPerThread);
+        }
+    }
+    // The two specs' budgets differ, so their plans do too.
+    EXPECT_NE(want[0].representedWindows, want[1].representedWindows);
+}
+
 TEST(WorkloadSweep, SampledModeReportsWindowsAndApproximatesExact)
 {
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
     const PlatformConfig plt = PlatformConfig::plt1();
     std::vector<RunOptions> options = {smallOpt(4 * MiB)};
 
-    SweepControl control;
-    control.threads = 1;
-    control.sampling.periodRecords = 30'000;
-    control.sampling.warmupRecords = 5'000;
-    control.sampling.measureRecords = 10'000;
+    // The --smoke route: a uniform plan with the default knobs.
+    const uint64_t total = recordBudget(options[0]).total();
+    SweepOptions sweep;
+    sweep.threads = 1;
+    sweep.policy = SamplingPolicy::kUniform;
+    sweep.rep = defaultRepresentativeSampling(total);
     const std::vector<SystemResult> sampled =
-        runWorkloadSweep(prof, plt, options, control);
+        runWorkloadSweep(prof, plt, options, sweep);
     ASSERT_EQ(sampled.size(), 1u);
-    // 90k total records -> 3 windows of 10k measured each.
-    EXPECT_EQ(sampled[0].sampledWindows, 3u);
-    EXPECT_EQ(sampled[0].instructions, 30'000u);
+    const SamplingPlan plan = buildUniformPlan(total, sweep.rep);
+    ASSERT_TRUE(plan.enabled());
+    EXPECT_EQ(sampled[0].sampledWindows, plan.windows.size());
+    EXPECT_EQ(sampled[0].representedWindows, plan.totalWindows);
+    EXPECT_GT(sampled[0].l3MissVar, 0.0);
 
     // The estimate should be in the neighbourhood of the exact run
     // (loose bound; this guards gross accounting bugs, not accuracy).

@@ -32,6 +32,7 @@
 #include "core/experiments.hh"
 #include "memsim/sweep.hh"
 #include "trace/signature.hh"
+#include "trace/synthetic.hh"
 #include "util/rng.hh"
 #include "util/units.hh"
 
@@ -145,12 +146,12 @@ makePhaseTrace(const std::vector<bool> &schedule,
     return BufferedTrace::materialize(src, kTotal, chunk);
 }
 
-HierarchyConfig
+HierarchySpec
 testConfig()
 {
-    HierarchyConfig cfg;
+    HierarchySpec cfg;
     cfg.numCores = 1;
-    cfg.l3.sizeBytes = 1 * MiB;
+    cfg.llc.cache.sizeBytes = 1 * MiB;
     return cfg;
 }
 
@@ -165,8 +166,10 @@ testRep(uint32_t sample_windows = 4, uint64_t seed = 7)
     return rep;
 }
 
+/** Counter equality; A/B are SimResult or SystemResult. */
+template <typename A, typename B>
 void
-expectSimEq(const SimResult &a, const SimResult &b, const char *what)
+expectSimEq(const A &a, const B &b, const char *what)
 {
     EXPECT_EQ(a.instructions, b.instructions) << what;
     const CacheLevelStats *as[] = {&a.l1i, &a.l1d, &a.l2, &a.l3, &a.l4};
@@ -382,6 +385,57 @@ TEST(SamplingPlans, FullSelectionReconstructsOracleBitIdentically)
                 "uniform k == N reconstruction");
 }
 
+TEST(SamplingPlans, SystemAndMemsimPlannedReplaysAgree)
+{
+    // Cross-layer oracle for the shared plan-replay loop:
+    // SystemSimulator::step makes the same accessInstr/accessData
+    // calls as pumpSpan and the TLB never touches the hierarchy, so
+    // the system-level planned replay must reproduce the memsim-level
+    // one counter for counter -- including coherence, L4 and the band.
+    HierarchySpec spec;
+    spec.numCores = 2;
+    spec.smtWays = 2;
+    spec.llc = cache_gen_llc_inc(128 * KiB, 64, 16, ReplPolicy::DRRIP, 2);
+    spec.l4 = cache_gen_victim(2 * MiB, 64);
+    spec.coherence = CoherenceProtocol::MESI;
+    SystemConfig cfg;
+    cfg.hierarchy = spec;
+    cfg.modelTlb = true;
+    SyntheticSearchTrace src(WorkloadProfile::s1Leaf(), 4);
+    const auto trace = BufferedTrace::materialize(src, kTotal);
+
+    for (const SamplingPolicy policy :
+         {SamplingPolicy::kClustered, SamplingPolicy::kUniform}) {
+        SCOPED_TRACE(samplingPolicyName(policy));
+        SweepOptions opt;
+        opt.policy = policy;
+        opt.rep = testRep();
+        const SamplingPlan plan = buildSweepPlan(*trace, kTotal, opt);
+        ASSERT_EQ(plan.policy, policy);
+        ASSERT_TRUE(plan.enabled());
+
+        CacheHierarchy hier(spec);
+        const SimResult mem = runTracePlanned(*trace, hier, plan);
+        SystemSimulator sim(cfg);
+        const SystemResult sys = sim.runPlanned(*trace, plan);
+
+        expectSimEq(sys, mem, "system vs memsim planned replay");
+        EXPECT_EQ(sys.cohUpgrades, mem.cohUpgrades);
+        EXPECT_EQ(sys.cohInvalidations, mem.cohInvalidations);
+        EXPECT_EQ(sys.cohDirtyWritebacks, mem.cohDirtyWritebacks);
+        EXPECT_EQ(sys.sampledWindows, mem.sampledWindows);
+        EXPECT_EQ(sys.representedWindows, mem.representedWindows);
+        EXPECT_EQ(sys.l3MissVar, mem.l3MissVar);
+        // Non-vacuous: the spec exercises every counter family.
+        EXPECT_EQ(mem.sampledWindows, plan.windows.size());
+        EXPECT_EQ(mem.representedWindows, kNumWin);
+        EXPECT_GT(mem.l3MissVar, 0.0);
+        EXPECT_GT(mem.l4.totalAccesses(), 0u);
+        EXPECT_GT(mem.backInvalidations, 0u);
+        EXPECT_GT(mem.cohUpgrades + mem.cohInvalidations, 0u);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Tentpole claim 5: band fields survive operator+= and sweep fan-out.
 
@@ -404,10 +458,10 @@ TEST(SamplingPlans, BandFieldsSurviveOperatorPlusEq)
 TEST(SamplingPlans, SweepResultsIdenticalAcrossThreadCounts)
 {
     const auto trace = makePhaseTrace(fixedSchedule());
-    std::vector<HierarchyConfig> configs;
+    std::vector<HierarchySpec> configs;
     for (const uint64_t l3 : {512 * KiB, 1 * MiB, 4 * MiB})
         configs.push_back(testConfig()),
-            configs.back().l3.sizeBytes = l3;
+            configs.back().llc.cache.sizeBytes = l3;
 
     SweepOptions base;
     base.policy = SamplingPolicy::kClustered;
@@ -442,13 +496,13 @@ TEST(SamplingPlans, SweepResultsIdenticalAcrossThreadCounts)
 
 TEST(SamplingPlans, WorkloadSweepCarriesBandThroughSystemResult)
 {
-    SweepControl control;
-    control.policy = SamplingPolicy::kClustered;
-    control.rep.windowRecords = 4'000;
-    control.rep.warmupRecords = 1'000;
-    control.rep.sampleWindows = 5;
-    control.rep.seed = 9;
-    control.threads = 1;
+    SweepOptions sweep;
+    sweep.policy = SamplingPolicy::kClustered;
+    sweep.rep.windowRecords = 4'000;
+    sweep.rep.warmupRecords = 1'000;
+    sweep.rep.sampleWindows = 5;
+    sweep.rep.seed = 9;
+    sweep.threads = 1;
 
     RunOptions opt;
     opt.cores = 2;
@@ -463,11 +517,11 @@ TEST(SamplingPlans, WorkloadSweepCarriesBandThroughSystemResult)
     const WorkloadProfile profile = WorkloadProfile::s1Leaf();
     const PlatformConfig platform = PlatformConfig::plt1();
     const std::vector<SystemResult> want =
-        runWorkloadSweep(profile, platform, options, control);
+        runWorkloadSweep(profile, platform, options, sweep);
     ASSERT_EQ(want.size(), options.size());
     const uint64_t total_windows =
-        (recordBudget(opt).total() + control.rep.windowRecords - 1) /
-        control.rep.windowRecords;
+        (recordBudget(opt).total() + sweep.rep.windowRecords - 1) /
+        sweep.rep.windowRecords;
     for (const SystemResult &r : want) {
         EXPECT_GT(r.sampledWindows, 0u);
         EXPECT_LE(r.sampledWindows, 5u);
@@ -478,7 +532,7 @@ TEST(SamplingPlans, WorkloadSweepCarriesBandThroughSystemResult)
     }
 
     for (const uint32_t threads : {2u, 4u, 8u}) {
-        SweepControl c = control;
+        SweepOptions c = sweep;
         c.threads = threads;
         const std::vector<SystemResult> got =
             runWorkloadSweep(profile, platform, options, c);

@@ -29,7 +29,7 @@ TEST(RootMerge, HandlesEmptyPartials)
 
 /** Run @p q through the SearchRequest API, returning just the docs. */
 std::vector<ScoredDoc>
-treeRun(ServingTree &tree, uint32_t tid, const Query &q)
+treeRun(MultiLevelTree &tree, uint32_t tid, const Query &q)
 {
     SearchRequest req;
     req.query = q;
@@ -65,10 +65,12 @@ struct TreeFixture
     std::unique_ptr<LeafServer> leaf0, leaf1;
 };
 
-TEST(ServingTree, FansOutAndMerges)
+// The flat cache + root + leaves tree: one parent over every leaf.
+
+TEST(FlatTree, FansOutAndMerges)
 {
     TreeFixture f;
-    ServingTree tree({f.leaf0.get(), f.leaf1.get()}, 64);
+    MultiLevelTree tree({f.leaf0.get(), f.leaf1.get()}, 2, 64);
     Query q;
     q.id = 42;
     q.terms = {0, 1};
@@ -86,10 +88,10 @@ TEST(ServingTree, FansOutAndMerges)
     EXPECT_TRUE(odd);
 }
 
-TEST(ServingTree, CacheAbsorbsRepeats)
+TEST(FlatTree, CacheAbsorbsRepeats)
 {
     TreeFixture f;
-    ServingTree tree({f.leaf0.get(), f.leaf1.get()}, 64);
+    MultiLevelTree tree({f.leaf0.get(), f.leaf1.get()}, 2, 64);
     Query q;
     q.id = 7;
     q.terms = {0};
@@ -104,14 +106,14 @@ TEST(ServingTree, CacheAbsorbsRepeats)
         EXPECT_EQ(first[i].doc, second[i].doc);
 }
 
-TEST(ServingTree, SingleLeafEqualsDirectServe)
+TEST(FlatTree, SingleLeafEqualsDirectServe)
 {
     TreeFixture f;
     LeafServer::Config plain;
     plain.numThreads = 1;
     LeafServer leaf(*f.index, plain);
     LeafServer leaf_direct(*f.index, plain);
-    ServingTree tree({&leaf}, 0); // no cache
+    MultiLevelTree tree({&leaf}, 1, 0); // no cache
     Query q;
     q.id = 9;
     q.terms = {2, 3};

@@ -1,5 +1,6 @@
 /**
- * Concurrency tests for the serving trees' stats and cache tier.
+ * Concurrency tests for the serving tree's (MultiLevelTree's) stats
+ * and cache tier, flat (one parent over every leaf) and two-level.
  * These run under the "serve" ctest label so the TSan configuration
  * (WSEARCH_SANITIZE=thread) exercises them: the original Stats struct
  * did unsynchronized increments from concurrent handle() callers,
@@ -71,7 +72,8 @@ struct TreeFixture
 TEST(ServingTreeConcurrent, StatsConsistentUnderConcurrentHandles)
 {
     TreeFixture fx;
-    ServingTree tree(fx.leafPtrs, /*cache_capacity=*/32);
+    MultiLevelTree tree(fx.leafPtrs, /*fanout=*/kLeaves,
+                        /*cache_capacity=*/32);
 
     std::vector<std::thread> threads;
     for (uint32_t t = 0; t < kThreads; ++t) {
@@ -89,7 +91,7 @@ TEST(ServingTreeConcurrent, StatsConsistentUnderConcurrentHandles)
     // Concurrent readers: snapshots must be tear-free under TSan.
     std::thread reader([&tree] {
         for (int i = 0; i < 100; ++i) {
-            const ServingTree::Stats s = tree.stats();
+            const MultiLevelTree::Stats s = tree.stats();
             EXPECT_LE(s.cacheHits, s.queries);
             std::this_thread::yield();
         }
@@ -98,7 +100,7 @@ TEST(ServingTreeConcurrent, StatsConsistentUnderConcurrentHandles)
         t.join();
     reader.join();
 
-    const ServingTree::Stats s = tree.stats();
+    const MultiLevelTree::Stats s = tree.stats();
     EXPECT_EQ(s.queries, kThreads * kQueriesPerThread);
     EXPECT_LE(s.cacheHits, s.queries);
     // Every cache miss fans out to every leaf, exactly once.
@@ -112,8 +114,10 @@ TEST(ServingTreeConcurrent, StatsConsistentUnderConcurrentHandles)
 TEST(ServingTreeConcurrent, CachedAndUncachedResultsAgree)
 {
     TreeFixture fx;
-    ServingTree cached(fx.leafPtrs, /*cache_capacity=*/128);
-    ServingTree uncached(fx.leafPtrs, /*cache_capacity=*/0);
+    MultiLevelTree cached(fx.leafPtrs, /*fanout=*/kLeaves,
+                          /*cache_capacity=*/128);
+    MultiLevelTree uncached(fx.leafPtrs, /*fanout=*/kLeaves,
+                            /*cache_capacity=*/0);
 
     QueryGenerator gen(fx.traffic());
     for (uint32_t i = 0; i < 100; ++i) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "util/env.hh"
 
@@ -22,8 +23,19 @@ TEST(Env, ParsesValue)
 
 TEST(Env, InvalidFallsBack)
 {
-    setenv("WSEARCH_TEST_VAR", "abc", 1);
+    // Only an empty value falls back; anything that is not a full
+    // unsigned decimal is fatal and names the variable and its value.
+    setenv("WSEARCH_TEST_VAR", "", 1);
     EXPECT_EQ(envU64("WSEARCH_TEST_VAR", 9), 9u);
+    setenv("WSEARCH_TEST_VAR", "18446744073709551615", 1);
+    EXPECT_EQ(envU64("WSEARCH_TEST_VAR", 9), 18446744073709551615ull);
+    for (const char *bad :
+         {"abc", "12abc", "-1", "18446744073709551616"}) {
+        setenv("WSEARCH_TEST_VAR", bad, 1);
+        EXPECT_DEATH(envU64("WSEARCH_TEST_VAR", 9),
+                     std::string("WSEARCH_TEST_VAR=\"") + bad + "\"")
+            << bad;
+    }
     unsetenv("WSEARCH_TEST_VAR");
 }
 
