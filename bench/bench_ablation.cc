@@ -11,37 +11,23 @@
  *     (partitioning reduces associativity, adding conflicts).
  *  4. L3 replacement policy: LRU vs random vs SRRIP vs DRRIP.
  *
- * Emits BENCH_ablation.json through the standard frame: one rows[]
- * element per (study, variant) with the deterministic counters
- * bench_diff.py gates on.
+ * Two sweep sections: "l4_fill" (study 1, on the 1/32-scale sweep
+ * profile) and "leaf" (studies 2-4 on the S1 leaf, one sweep so they
+ * share one trace buffer). Exact replay; --smoke samples like every
+ * other driver. Emits BENCH_ablation.json through the standard frame:
+ * one rows[] element per (study, variant) with the deterministic
+ * counters bench_diff.py gates on.
  */
 
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "common.hh"
-#include "trace/synthetic.hh"
 #include "util/table.hh"
 
 namespace wsearch {
 namespace {
-
-uint64_t
-budget(const bench::Args &args, uint64_t records)
-{
-    // Smoke mode quarters the (already WSEARCH_FAST-scaled) budget:
-    // the studies stay directionally meaningful and CI stays fast.
-    const uint64_t n = traceBudget(records);
-    return args.smoke ? n / 4 : n;
-}
-
-SystemResult
-runCfg(const WorkloadProfile &prof, SystemConfig cfg, uint64_t records)
-{
-    SyntheticSearchTrace trace(prof, cfg.hierarchy.numCores *
-                                          cfg.hierarchy.smtWays);
-    SystemSimulator sim(cfg);
-    return sim.run(trace, records, records);
-}
 
 void
 addRow(bench::JsonWriter &json, const char *study, const char *variant,
@@ -50,60 +36,37 @@ addRow(bench::JsonWriter &json, const char *study, const char *variant,
     json.beginObject();
     json.add("study", std::string(study));
     json.add("variant", std::string(variant));
-    json.add("instructions", r.instructions);
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("l4_accesses", r.l4.totalAccesses());
-    json.add("l4_misses", r.l4.totalMisses());
-    json.add("writebacks", r.writebacks);
-    json.add("back_invalidations", r.backInvalidations);
+    bench::addResultCounters(json, r);
     json.endObject();
 }
 
 void
-l4FillPolicy(const bench::Args &args, bench::JsonWriter &json)
+l4FillPolicy(bench::JsonWriter &json,
+             const std::vector<SystemResult> &results)
 {
     std::printf("--- L4 fill policy (victim vs allocate-on-miss) ---\n");
-    const WorkloadProfile prof = WorkloadProfile::s1LeafSweep();
-    const PlatformConfig plt1 = PlatformConfig::plt1();
     Table t({"Fill policy", "L4 hit rate", "L3 MPKI", "DRAM accesses "
              "per ki"});
     for (const bool victim : {true, false}) {
-        SystemConfig cfg = plt1.system(prof, 16);
-        cfg.hierarchy.llc.cache.sizeBytes =
-            (23 * MiB) / prof.sweepScale;
-        cfg.hierarchy.l4 = cache_gen_victim(
-            (1 * GiB) / prof.sweepScale, 64, /*fully_assoc=*/false,
-            /*victim_fill=*/victim);
-        const SystemResult r =
-            runCfg(prof, cfg, budget(args, 24'000'000));
+        const SystemResult &r = results[victim ? 0 : 1];
         const uint64_t i = r.instructions;
         t.addRow({victim ? "victim-of-L3 (paper)" : "allocate-on-miss",
                   Table::fmtPct(r.l4.hitRateTotal(), 1),
                   Table::fmt(r.l3.mpkiTotal(i), 2),
                   Table::fmt(r.l4.mpkiTotal(i), 2)});
         addRow(json, "l4_fill", victim ? "victim" : "on_miss", r);
-        std::fflush(stdout);
     }
     t.print();
     std::printf("\n");
 }
 
 void
-inclusiveL3(const bench::Args &args, bench::JsonWriter &json)
+inclusiveL3(bench::JsonWriter &json, const SystemResult *results)
 {
     std::printf("--- Inclusive vs non-inclusive L3 ---\n");
-    const WorkloadProfile prof = WorkloadProfile::s1Leaf();
-    const PlatformConfig plt1 = PlatformConfig::plt1();
     Table t({"L3 policy", "L3 MPKI", "Back-invalidations/ki", "IPC"});
     for (const bool inclusive : {false, true}) {
-        SystemConfig cfg = plt1.system(prof, 16);
-        cfg.hierarchy.llc.inclusion = inclusive
-            ? InclusionMode::Inclusive : InclusionMode::NINE;
-        // A small partition makes inclusion victims visible, like the
-        // paper's CAT experiments.
-        cfg.hierarchy.llc.cache.partitionWays = 4;
-        const SystemResult r =
-            runCfg(prof, cfg, budget(args, 16'000'000));
+        const SystemResult &r = results[inclusive ? 1 : 0];
         const uint64_t i = r.instructions;
         t.addRow({inclusive ? "inclusive" : "non-inclusive",
                   Table::fmt(r.l3.mpkiTotal(i), 2),
@@ -111,7 +74,6 @@ inclusiveL3(const bench::Args &args, bench::JsonWriter &json)
                                  static_cast<double>(i), 2),
                   Table::fmt(r.ipcPerThread, 3)});
         addRow(json, "inclusion", inclusive ? "inclusive" : "nine", r);
-        std::fflush(stdout);
     }
     t.print();
     std::printf("Paper: inclusion back-invalidations under CAT make "
@@ -119,61 +81,41 @@ inclusiveL3(const bench::Args &args, bench::JsonWriter &json)
 }
 
 void
-catVsDedicated(const bench::Args &args, bench::JsonWriter &json)
+catVsDedicated(bench::JsonWriter &json, const SystemResult *results)
 {
     std::printf("--- CAT partition vs dedicated cache ---\n");
-    const WorkloadProfile prof = WorkloadProfile::s1Leaf();
-    const PlatformConfig plt1 = PlatformConfig::plt1();
     Table t({"Configuration", "Effective capacity", "Ways", "L3 MPKI"});
-    // 4 of 20 ways of 45 MiB (CAT) vs a dedicated 9 MiB 20-way cache.
-    {
-        SystemConfig cfg = plt1.system(prof, 16);
-        cfg.hierarchy.llc.cache.partitionWays = 4;
-        const SystemResult r =
-            runCfg(prof, cfg, budget(args, 16'000'000));
-        t.addRow({"CAT 4/20 ways of 45 MiB", "9 MiB", "4",
-                  Table::fmt(r.l3.mpkiTotal(r.instructions), 2)});
-        addRow(json, "cat", "partition_4_of_20", r);
-    }
-    {
-        SystemConfig cfg = plt1.system(prof, 16);
-        cfg.hierarchy.llc.cache.sizeBytes = 9 * MiB;
-        const SystemResult r =
-            runCfg(prof, cfg, budget(args, 16'000'000));
-        t.addRow({"dedicated 9 MiB, 20-way", "9 MiB", "20",
-                  Table::fmt(r.l3.mpkiTotal(r.instructions), 2)});
-        addRow(json, "cat", "dedicated_9mib", r);
-    }
+    t.addRow({"CAT 4/20 ways of 45 MiB", "9 MiB", "4",
+              Table::fmt(results[0].l3.mpkiTotal(
+                             results[0].instructions), 2)});
+    addRow(json, "cat", "partition_4_of_20", results[0]);
+    t.addRow({"dedicated 9 MiB, 20-way", "9 MiB", "20",
+              Table::fmt(results[1].l3.mpkiTotal(
+                             results[1].instructions), 2)});
+    addRow(json, "cat", "dedicated_9mib", results[1]);
     t.print();
     std::printf("CAT keeps the set count but cuts associativity, so "
                 "it suffers extra conflict misses vs a dedicated "
                 "cache of the same capacity.\n\n");
 }
 
+constexpr ReplPolicy kPolicies[] = {ReplPolicy::LRU, ReplPolicy::Random,
+                                    ReplPolicy::SRRIP,
+                                    ReplPolicy::DRRIP};
+constexpr const char *kPolicyNames[] = {"LRU", "random", "SRRIP",
+                                        "DRRIP"};
+
 void
-replacementPolicy(const bench::Args &args, bench::JsonWriter &json)
+replacementPolicy(bench::JsonWriter &json, const SystemResult *results)
 {
     std::printf("--- L3 replacement policy ---\n");
-    const WorkloadProfile prof = WorkloadProfile::s1Leaf();
-    const PlatformConfig plt1 = PlatformConfig::plt1();
     Table t({"Policy", "L3 MPKI", "L3 hit rate"});
-    for (const ReplPolicy repl :
-         {ReplPolicy::LRU, ReplPolicy::Random, ReplPolicy::SRRIP,
-          ReplPolicy::DRRIP}) {
-        SystemConfig cfg = plt1.system(prof, 16);
-        // Capacity-constrained point where replacement matters.
-        cfg.hierarchy.llc.cache.sizeBytes = 9 * MiB;
-        cfg.hierarchy.llc.cache.repl = repl;
-        const SystemResult r =
-            runCfg(prof, cfg, budget(args, 16'000'000));
-        const char *name = repl == ReplPolicy::LRU ? "LRU"
-            : repl == ReplPolicy::Random ? "random"
-            : repl == ReplPolicy::SRRIP ? "SRRIP" : "DRRIP";
-        t.addRow({name,
+    for (size_t p = 0; p < std::size(kPolicies); ++p) {
+        const SystemResult &r = results[p];
+        t.addRow({kPolicyNames[p],
                   Table::fmt(r.l3.mpkiTotal(r.instructions), 2),
                   Table::fmtPct(r.l3.hitRateTotal(), 1)});
-        addRow(json, "replacement", name, r);
-        std::fflush(stdout);
+        addRow(json, "replacement", kPolicyNames[p], r);
     }
     t.print();
 }
@@ -182,17 +124,62 @@ void
 runAblation(const bench::Args &args)
 {
     const double t0 = bench::nowSec();
-    printBanner("Ablations",
-                "Design-choice sensitivity beyond the paper's own "
-                "bars");
+    bench::banner(args, "Ablations",
+                  "Design-choice sensitivity beyond the paper's own "
+                  "bars");
+    const PlatformConfig plt1 = PlatformConfig::plt1();
     bench::JsonWriter json;
     bench::beginStandardJson(json, "ablation", args.smoke);
-    json.add("records_unit", budget(args, 16'000'000));
+
+    // --- l4_fill: victim vs allocate-on-miss behind the rightsized
+    //     23 MiB L3, both at 1/32 scale ---
+    const WorkloadProfile sweep_prof = WorkloadProfile::s1LeafSweep();
+    std::vector<RunOptions> fill;
+    for (const bool victim : {true, false}) {
+        RunOptions opt = bench::baseOptions(16, 24'000'000, 24'000'000);
+        opt.l3Bytes = (23 * MiB) / sweep_prof.sweepScale;
+        opt.l4 = cache_gen_victim((1 * GiB) / sweep_prof.sweepScale, 64,
+                                  /*fully_assoc=*/false,
+                                  /*victim_fill=*/victim);
+        fill.push_back(opt);
+    }
+    const bench::Section fill_run = bench::runSection(
+        json, args, "l4_fill", sweep_prof, plt1, fill);
+
+    // --- leaf: the inclusion, CAT and replacement studies ---
+    const RunOptions base = bench::baseOptions(16, 16'000'000, 16'000'000);
+    std::vector<RunOptions> leaf;
+    for (const InclusionMode mode :
+         {InclusionMode::NINE, InclusionMode::Inclusive}) {
+        // A small partition makes inclusion victims visible, like the
+        // paper's CAT experiments.
+        RunOptions opt = base;
+        opt.llcInclusion = mode;
+        opt.l3PartitionWays = 4;
+        leaf.push_back(opt);
+    }
+    // 4 of 20 ways of 45 MiB (CAT) vs a dedicated 9 MiB 20-way cache.
+    leaf.push_back(base);
+    leaf.back().l3PartitionWays = 4;
+    leaf.push_back(base);
+    leaf.back().l3Bytes = 9 * MiB;
+    for (const ReplPolicy repl : kPolicies) {
+        // Capacity-constrained point where replacement matters.
+        RunOptions opt = base;
+        opt.l3Bytes = 9 * MiB;
+        opt.llcRepl = repl;
+        leaf.push_back(opt);
+    }
+    const bench::Section leaf_run = bench::runSection(
+        json, args, "leaf", WorkloadProfile::s1Leaf(), plt1, leaf);
+
+    // leaf results are positional: inclusion [0, 2), CAT [2, 4),
+    // replacement [4, 8).
     json.beginArray("rows");
-    l4FillPolicy(args, json);
-    inclusiveL3(args, json);
-    catVsDedicated(args, json);
-    replacementPolicy(args, json);
+    l4FillPolicy(json, fill_run.results);
+    inclusiveL3(json, &leaf_run.results[0]);
+    catVsDedicated(json, &leaf_run.results[2]);
+    replacementPolicy(json, &leaf_run.results[4]);
     json.endArray();
     bench::finishStandardJson(json, "ablation", t0);
 }

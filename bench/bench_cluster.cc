@@ -42,6 +42,16 @@
 namespace wsearch {
 namespace {
 
+/** WSEARCH_CLUSTER_CLIENTS (default 4); fatal unless >= 1. */
+uint32_t
+clusterClients()
+{
+    const uint32_t clients = envU32("WSEARCH_CLUSTER_CLIENTS", 4);
+    if (clients < 1)
+        wsearch_fatal("WSEARCH_CLUSTER_CLIENTS must be >= 1");
+    return clients;
+}
+
 QueryGenerator::Config
 trafficFor(const CorpusConfig &corpus)
 {
@@ -68,10 +78,7 @@ void
 runBenchCluster()
 {
     const bool fast = fastMode();
-    const uint32_t clients = static_cast<uint32_t>(
-        envU64("WSEARCH_CLUSTER_CLIENTS", 4));
-    if (clients < 1)
-        wsearch_fatal("WSEARCH_CLUSTER_CLIENTS must be >= 1");
+    const uint32_t clients = clusterClients();
 
     // Weak scaling: the per-shard corpus is constant, so a bigger
     // cluster serves a bigger corpus at the same per-shard work and
@@ -231,8 +238,7 @@ void
 runBenchFaults()
 {
     const bool fast = fastMode();
-    const uint32_t clients = static_cast<uint32_t>(
-        envU64("WSEARCH_CLUSTER_CLIENTS", 4));
+    const uint32_t clients = clusterClients();
     const uint32_t num_shards = 4;
     const uint32_t per_shard_docs = fast ? 1000 : 2500;
     CorpusConfig cc;

@@ -34,24 +34,21 @@ namespace wsearch {
 namespace {
 
 void
-addRow(bench::JsonWriter &json, const char *section, uint64_t sim_bytes,
-       uint64_t paper_eq_bytes, const SystemResult &r)
+addRows(bench::JsonWriter &json, const char *section,
+        const std::vector<uint64_t> &sizes, uint32_t paper_eq_scale,
+        const std::vector<SystemResult> &results)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("l4_sim_bytes", sim_bytes);
-    json.add("l4_paper_eq_bytes", paper_eq_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l4_accesses", r.l4.totalAccesses());
-    json.add("l4_misses", r.l4.totalMisses());
-    json.add("heap_hit", r.l4.hitRate(AccessKind::Heap));
-    json.add("shard_hit", r.l4.hitRate(AccessKind::Shard));
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    for (size_t i = 0; i < sizes.size(); ++i) {
+        const SystemResult &r = results[i];
+        json.beginObject();
+        json.add("section", std::string(section));
+        json.add("l4_sim_bytes", sizes[i]);
+        json.add("l4_paper_eq_bytes", sizes[i] * paper_eq_scale);
+        bench::addResultCounters(json, r);
+        json.add("heap_hit", r.l4.hitRate(AccessKind::Heap));
+        json.add("shard_hit", r.l4.hitRate(AccessKind::Shard));
+        json.endObject();
+    }
 }
 
 void
@@ -77,16 +74,11 @@ printTable(const WorkloadProfile &prof,
             Table::fmt(r.l4.mpki(AccessKind::Heap, i), 2),
             Table::fmt(r.l4.mpki(AccessKind::Shard, i), 2),
             Table::fmt(r.l4.mpkiTotal(i), 2)};
-        if (banded) {
-            // The band is on LLC misses == L4 lookups: the sampling
-            // plan's variance model tracks the L3 miss stream feeding
-            // the victim cache.
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.3g..%.3g (+-%.1f%%)",
-                          r.l3MissBandLo(), r.l3MissBandHi(),
-                          100.0 * r.bandRelHalfWidth());
-            row.push_back(buf);
-        }
+        // The band is on LLC misses == L4 lookups: the sampling
+        // plan's variance model tracks the L3 miss stream feeding the
+        // victim cache.
+        if (banded)
+            row.push_back(bench::bandCell(r));
         t.addRow(row);
     }
     t.print();
@@ -118,11 +110,9 @@ runFig13(const bench::Args &args)
         sizes.push_back(sim);
         options.push_back(opt);
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options,
-                         bench::sweepOptions(args, options));
+        bench::runSection(json, args, "scaled", prof, plt1, options)
+            .results;
     printTable(prof, sizes, results, false);
     std::printf("\nPaper: a 1 GiB L4 captures most heap locality; "
                 "remaining misses are mostly shard; ~50%% of DRAM "
@@ -146,35 +136,21 @@ runFig13(const bench::Args &args)
         opt.l4 = cache_gen_victim(size, 64);
         nom_options.push_back(opt);
     }
-    const RecordBudget nom_budget = recordBudget(nom_options[0]);
-    const SweepOptions nom_sweep = bench::sweepOptions(
-        args, nom_options, SamplingPolicy::kClustered);
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_sweep.policy)));
-    json.add("sample_window_records", nom_sweep.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_sweep.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_sweep.rep.seed));
-
+    const bench::Section nom = bench::runSection(
+        json, args, "nominal", nominal, plt1, nom_options,
+        SamplingPolicy::kClustered);
     std::printf("Nominal-scale sweep (%s sampling; 23 MiB L3, paper "
                 "working sets: %s heap tail, %s shard span)\n",
-                samplingPolicyName(nom_sweep.policy),
+                samplingPolicyName(nom.sweep.policy),
                 formatBytes(nominal.heapWorkingSetBytes).c_str(),
                 formatBytes(nominal.shardSpanBytes).c_str());
-    const std::vector<SystemResult> nom_results =
-        runWorkloadSweep(nominal, plt1, nom_options, nom_sweep);
-    printTable(nominal, nom_sizes, nom_results, true);
+    printTable(nominal, nom_sizes, nom.results, true);
     std::printf("\n");
 
     json.beginArray("rows");
-    for (size_t i = 0; i < sizes.size(); ++i)
-        addRow(json, "scaled", sizes[i], sizes[i] * prof.sweepScale,
-               results[i]);
-    for (size_t i = 0; i < nom_sizes.size(); ++i)
-        addRow(json, "nominal", nom_sizes[i], nom_sizes[i],
-               nom_results[i]);
+    addRows(json, "scaled", sizes, prof.sweepScale, results);
+    addRows(json, "nominal", nom_sizes, nominal.sweepScale,
+            nom.results);
     json.endArray();
 
     bench::finishStandardJson(json, "fig13", t0);

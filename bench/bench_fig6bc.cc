@@ -37,26 +37,22 @@ namespace wsearch {
 namespace {
 
 void
-addSweepRow(bench::JsonWriter &json, const char *section,
-            uint64_t sim_bytes, uint64_t paper_eq_bytes,
-            const SystemResult &r)
+addRows(bench::JsonWriter &json, const char *section,
+        const std::vector<uint64_t> &sizes, uint32_t paper_eq_scale,
+        const std::vector<SystemResult> &results)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("l3_sim_bytes", sim_bytes);
-    json.add("l3_paper_eq_bytes", paper_eq_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l3_accesses", r.l3.totalAccesses());
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("code_hit", r.l3.hitRate(AccessKind::Code));
-    json.add("heap_hit", r.l3.hitRate(AccessKind::Heap));
-    json.add("shard_hit", r.l3.hitRate(AccessKind::Shard));
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    for (size_t i = 0; i < sizes.size(); ++i) {
+        const SystemResult &r = results[i];
+        json.beginObject();
+        json.add("section", std::string(section));
+        json.add("l3_sim_bytes", sizes[i]);
+        json.add("l3_paper_eq_bytes", sizes[i] * paper_eq_scale);
+        bench::addResultCounters(json, r);
+        json.add("code_hit", r.l3.hitRate(AccessKind::Code));
+        json.add("heap_hit", r.l3.hitRate(AccessKind::Heap));
+        json.add("shard_hit", r.l3.hitRate(AccessKind::Shard));
+        json.endObject();
+    }
 }
 
 void
@@ -80,13 +76,8 @@ printSweepTable(const WorkloadProfile &prof,
             Table::fmtPct(r.l3.hitRate(AccessKind::Shard), 0),
             Table::fmtPct(r.l3.hitRateTotal(), 0),
             Table::fmt(r.l3.mpkiTotal(r.instructions), 2)};
-        if (banded) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.3g..%.3g (+-%.1f%%)",
-                          r.l3MissBandLo(), r.l3MissBandHi(),
-                          100.0 * r.bandRelHalfWidth());
-            row.push_back(buf);
-        }
+        if (banded)
+            row.push_back(bench::bandCell(r));
         t.addRow(row);
     }
     t.print();
@@ -202,11 +193,9 @@ runFig6bc(const bench::Args &args)
         sizes.push_back(sim);
         options.push_back(opt);
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options,
-                         bench::sweepOptions(args, options));
+        bench::runSection(json, args, "scaled", prof, plt1, options)
+            .results;
     printSweepTable(prof, sizes, results, false);
     std::printf("\nPaper landmarks: code misses vanish by 16 MiB; "
                 "heap hit ~95%% at 1 GiB; shard ~50%% at 2 GiB; "
@@ -235,35 +224,21 @@ runFig6bc(const bench::Args &args)
         opt.l3Ways = 16;
         nom_options.push_back(opt);
     }
-    const RecordBudget nom_budget = recordBudget(nom_options[0]);
-    const SweepOptions nom_sweep = bench::sweepOptions(
-        args, nom_options, SamplingPolicy::kClustered);
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_sweep.policy)));
-    json.add("sample_window_records", nom_sweep.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_sweep.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_sweep.rep.seed));
-
+    const bench::Section nom = bench::runSection(
+        json, args, "nominal", nominal, plt1, nom_options,
+        SamplingPolicy::kClustered);
     std::printf("Nominal-scale sweep (%s sampling; full paper "
                 "working sets: %s heap tail, %s shard span)\n",
-                samplingPolicyName(nom_sweep.policy),
+                samplingPolicyName(nom.sweep.policy),
                 formatBytes(nominal.heapWorkingSetBytes).c_str(),
                 formatBytes(nominal.shardSpanBytes).c_str());
-    const std::vector<SystemResult> nom_results =
-        runWorkloadSweep(nominal, plt1, nom_options, nom_sweep);
-    printSweepTable(nominal, nom_sizes, nom_results, true);
+    printSweepTable(nominal, nom_sizes, nom.results, true);
     std::printf("\n");
 
     json.beginArray("rows");
-    for (size_t i = 0; i < sizes.size(); ++i)
-        addSweepRow(json, "scaled", sizes[i],
-                    sizes[i] * prof.sweepScale, results[i]);
-    for (size_t i = 0; i < nom_sizes.size(); ++i)
-        addSweepRow(json, "nominal", nom_sizes[i], nom_sizes[i],
-                    nom_results[i]);
+    addRows(json, "scaled", sizes, prof.sweepScale, results);
+    addRows(json, "nominal", nom_sizes, nominal.sweepScale,
+            nom.results);
     json.endArray();
 
     bench::finishStandardJson(json, "fig6bc", t0);

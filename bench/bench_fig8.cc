@@ -31,25 +31,22 @@ namespace wsearch {
 namespace {
 
 void
-addWayRow(bench::JsonWriter &json, const char *section, uint32_t ways,
-          uint64_t sim_bytes, const SystemResult &r)
+addRows(bench::JsonWriter &json, const char *section,
+        const std::vector<uint32_t> &way_counts, uint64_t sim_bytes,
+        const std::vector<SystemResult> &results)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("ways", static_cast<uint64_t>(ways));
-    json.add("l3_sim_bytes", sim_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l3_accesses", r.l3.totalAccesses());
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("data_hit", r.l3DataHitRate());
-    json.add("amat_ns", r.amatL3Ns);
-    json.add("ipc", r.ipcPerThread);
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    for (size_t i = 0; i < way_counts.size(); ++i) {
+        const SystemResult &r = results[i];
+        json.beginObject();
+        json.add("section", std::string(section));
+        json.add("ways", static_cast<uint64_t>(way_counts[i]));
+        json.add("l3_sim_bytes", sim_bytes);
+        bench::addResultCounters(json, r);
+        json.add("data_hit", r.l3DataHitRate());
+        json.add("amat_ns", r.amatL3Ns);
+        json.add("ipc", r.ipcPerThread);
+        json.endObject();
+    }
 }
 
 void
@@ -70,13 +67,8 @@ printWayTable(const PlatformConfig &plt1,
             formatBytes(plt1.l3Bytes / 20 * way_counts[i]),
             Table::fmtPct(r.l3DataHitRate(), 1),
             Table::fmt(r.amatL3Ns, 1), Table::fmt(r.ipcPerThread, 3)};
-        if (banded) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.3g..%.3g (+-%.1f%%)",
-                          r.l3MissBandLo(), r.l3MissBandHi(),
-                          100.0 * r.bandRelHalfWidth());
-            row.push_back(buf);
-        }
+        if (banded)
+            row.push_back(bench::bandCell(r));
         t.addRow(row);
     }
     t.print();
@@ -111,11 +103,9 @@ runFig8(const bench::Args &args)
         way_counts.push_back(ways);
         options.push_back(opt);
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options,
-                         bench::sweepOptions(args, options));
+        bench::runSection(json, args, "scaled", prof, plt1, options)
+            .results;
     printWayTable(plt1, way_counts, results, false);
 
     std::vector<double> amats, ipcs;
@@ -151,34 +141,19 @@ runFig8(const bench::Args &args)
         opt.l3PartitionWays = ways;
         nom_options.push_back(opt);
     }
-    const RecordBudget nom_budget = recordBudget(nom_options[0]);
-    const SweepOptions nom_sweep = bench::sweepOptions(
-        args, nom_options, SamplingPolicy::kClustered);
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_sweep.policy)));
-    json.add("sample_window_records", nom_sweep.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_sweep.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_sweep.rep.seed));
-
+    const bench::Section nom = bench::runSection(
+        json, args, "nominal", nominal, plt1, nom_options,
+        SamplingPolicy::kClustered);
     std::printf("Nominal-scale points (%s sampling; full 45 MiB L3, "
                 "%s heap tail, %s shard span)\n",
-                samplingPolicyName(nom_sweep.policy),
+                samplingPolicyName(nom.sweep.policy),
                 formatBytes(nominal.heapWorkingSetBytes).c_str(),
                 formatBytes(nominal.shardSpanBytes).c_str());
-    const std::vector<SystemResult> nom_results =
-        runWorkloadSweep(nominal, plt1, nom_options, nom_sweep);
-    printWayTable(plt1, nom_ways, nom_results, true);
+    printWayTable(plt1, nom_ways, nom.results, true);
 
     json.beginArray("rows");
-    for (size_t i = 0; i < way_counts.size(); ++i)
-        addWayRow(json, "scaled", way_counts[i],
-                  plt1.l3Bytes / scale, results[i]);
-    for (size_t i = 0; i < nom_ways.size(); ++i)
-        addWayRow(json, "nominal", nom_ways[i], plt1.l3Bytes,
-                  nom_results[i]);
+    addRows(json, "scaled", way_counts, plt1.l3Bytes / scale, results);
+    addRows(json, "nominal", nom_ways, plt1.l3Bytes, nom.results);
     json.endArray();
 
     bench::finishStandardJson(json, "fig8", t0);

@@ -40,24 +40,21 @@ struct Point
 };
 
 void
-addGridRow(bench::JsonWriter &json, const char *section,
-           const Point &p, uint64_t sim_bytes, const SystemResult &r)
+addRows(bench::JsonWriter &json, const char *section,
+        const std::vector<Point> &points, uint64_t sim_bytes,
+        const std::vector<SystemResult> &results)
 {
-    json.beginObject();
-    json.add("section", std::string(section));
-    json.add("cores", static_cast<uint64_t>(p.cores));
-    json.add("ways", static_cast<uint64_t>(p.ways));
-    json.add("l3_sim_bytes", sim_bytes);
-    json.add("instructions", r.instructions);
-    json.add("l3_accesses", r.l3.totalAccesses());
-    json.add("l3_misses", r.l3.totalMisses());
-    json.add("ipc", r.ipcPerThread);
-    json.add("sampled_windows", r.sampledWindows);
-    json.add("represented_windows", r.representedWindows);
-    json.add("band_lo", r.l3MissBandLo());
-    json.add("band_hi", r.l3MissBandHi());
-    json.add("band_rel", r.bandRelHalfWidth());
-    json.endObject();
+    for (size_t i = 0; i < points.size(); ++i) {
+        const SystemResult &r = results[i];
+        json.beginObject();
+        json.add("section", std::string(section));
+        json.add("cores", static_cast<uint64_t>(points[i].cores));
+        json.add("ways", static_cast<uint64_t>(points[i].ways));
+        json.add("l3_sim_bytes", sim_bytes);
+        bench::addResultCounters(json, r);
+        json.add("ipc", r.ipcPerThread);
+        json.endObject();
+    }
 }
 
 void
@@ -89,11 +86,9 @@ runFig9(const bench::Args &args)
             options.push_back(opt);
         }
     }
-    json.add("scaled_measure_records", recordBudget(options[0]).measure);
-    json.add("scaled_warmup_records", recordBudget(options[0]).warmup);
     const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options,
-                         bench::sweepOptions(args, options));
+        bench::runSection(json, args, "scaled", prof, plt1, options)
+            .results;
 
     Table t({"Cores", "L3 ways", "L3 MiB", "MiB/core",
              "Area (L3-eq MiB)", "Norm. QPS"});
@@ -146,23 +141,13 @@ runFig9(const bench::Args &args)
         opt.l3PartitionWays = p.ways;
         nom_options.push_back(opt);
     }
-    const RecordBudget nom_budget = recordBudget(nom_options[0]);
-    const SweepOptions nom_sweep = bench::sweepOptions(
-        args, nom_options, SamplingPolicy::kClustered);
-    json.add("nominal_measure_records", nom_budget.measure);
-    json.add("nominal_warmup_records", nom_budget.warmup);
-    json.add("sampling_policy",
-             std::string(samplingPolicyName(nom_sweep.policy)));
-    json.add("sample_window_records", nom_sweep.rep.windowRecords);
-    json.add("sample_clusters",
-             static_cast<uint64_t>(nom_sweep.rep.sampleWindows));
-    json.add("sample_seed", sampleSeed(nom_sweep.rep.seed));
-
+    const bench::Section nom = bench::runSection(
+        json, args, "nominal", nominal, plt1, nom_options,
+        SamplingPolicy::kClustered);
+    const std::vector<SystemResult> &nom_results = nom.results;
     std::printf("Nominal-scale equal-area points (%s sampling; full "
                 "45 MiB L3)\n",
-                samplingPolicyName(nom_sweep.policy));
-    const std::vector<SystemResult> nom_results =
-        runWorkloadSweep(nominal, plt1, nom_options, nom_sweep);
+                samplingPolicyName(nom.sweep.policy));
     // Normalize within the section: the nominal profile's absolute
     // IPC is not comparable to the 1/32-scale grid's.
     const double nom_ref =
@@ -172,24 +157,17 @@ runFig9(const bench::Args &args)
     for (size_t i = 0; i < nom_points.size(); ++i) {
         const SystemResult &r = nom_results[i];
         const double qps = nom_points[i].cores * r.ipcPerThread;
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.3g..%.3g (+-%.1f%%)",
-                      r.l3MissBandLo(), r.l3MissBandHi(),
-                      100.0 * r.bandRelHalfWidth());
         nt.addRow({Table::fmtInt(nom_points[i].cores),
                    Table::fmtInt(nom_points[i].ways),
                    Table::fmt(nom_ref > 0 ? qps / nom_ref : 0.0, 2),
-                   buf});
+                   bench::bandCell(r)});
     }
     nt.print();
 
     json.beginArray("rows");
-    for (size_t i = 0; i < points.size(); ++i)
-        addGridRow(json, "scaled", points[i],
-                   plt1.l3Bytes / prof.sweepScale, results[i]);
-    for (size_t i = 0; i < nom_points.size(); ++i)
-        addGridRow(json, "nominal", nom_points[i], plt1.l3Bytes,
-                   nom_results[i]);
+    addRows(json, "scaled", points, plt1.l3Bytes / prof.sweepScale,
+            results);
+    addRows(json, "nominal", nom_points, plt1.l3Bytes, nom_results);
     json.endArray();
 
     bench::finishStandardJson(json, "fig9", t0);

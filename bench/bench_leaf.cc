@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -251,14 +250,7 @@ runBenchLeaf(bool smoke)
 int
 main(int argc, char **argv)
 {
-    bool smoke = wsearch::fastMode();
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
-            return 2;
-        }
-    }
-    return wsearch::runBenchLeaf(smoke);
+    const wsearch::bench::Args args =
+        wsearch::bench::parseArgs(argc, argv);
+    return wsearch::runBenchLeaf(args.smoke || wsearch::fastMode());
 }

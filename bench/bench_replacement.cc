@@ -62,12 +62,11 @@ runReplacement(const bench::Args &args)
             options.push_back(opt);
         }
     }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(prof, plt1, options,
-                         bench::sweepOptions(args, options));
-
     bench::JsonWriter json;
     bench::beginStandardJson(json, "replacement", args.smoke);
+    const std::vector<SystemResult> results =
+        bench::runSection(json, args, "scaled", prof, plt1, options)
+            .results;
     json.add("capacity_points", static_cast<uint64_t>(sizes.size()));
     json.beginArray("rows");
 
@@ -85,11 +84,7 @@ runReplacement(const bench::Args &args)
             json.beginObject();
             json.add("l3_capacity", sizes[i] * scale);
             json.add("variant", std::string(kVariants[j].name));
-            json.add("l3_accesses", r.l3.totalAccesses());
-            json.add("l3_misses", r.l3.totalMisses());
-            json.add("writebacks", r.writebacks);
-            json.add("back_invalidations", r.backInvalidations);
-            json.add("instructions", r.instructions);
+            bench::addResultCounters(json, r);
             json.endObject();
         }
         t.addRow(row);

@@ -57,8 +57,7 @@ runBenchServe()
 {
     const double t0 = bench::nowSec();
     const bool fast = fastMode();
-    const uint32_t workers = static_cast<uint32_t>(
-        envU64("WSEARCH_SERVE_WORKERS", 2));
+    const uint32_t workers = envU32("WSEARCH_SERVE_WORKERS", 2);
     if (workers < 1)
         wsearch_fatal("WSEARCH_SERVE_WORKERS must be >= 1");
 

@@ -50,6 +50,8 @@ parseArgs(int argc, char **argv)
             else
                 usage(argv[0], a);
             args.policySet = true;
+        } else {
+            usage(argv[0], a);
         }
     }
     return args;
@@ -143,6 +145,57 @@ finishStandardJson(JsonWriter &json, const std::string &bench_name,
         std::fprintf(stderr, "bench: failed to write %s\n",
                      out.c_str());
     return ok;
+}
+
+Section
+runSection(JsonWriter &json, const Args &args, const std::string &section,
+           const WorkloadProfile &profile, const PlatformConfig &platform,
+           const std::vector<RunOptions> &options,
+           SamplingPolicy section_default)
+{
+    Section s;
+    s.sweep = sweepOptions(args, options, section_default);
+    const RecordBudget budget = recordBudget(options.front());
+    json.add(section + "_measure_records", budget.measure);
+    json.add(section + "_warmup_records", budget.warmup);
+    if (s.sweep.sampled()) {
+        json.add(section + "_sampling_policy",
+                 std::string(samplingPolicyName(s.sweep.policy)));
+        json.add(section + "_sample_window_records",
+                 s.sweep.rep.windowRecords);
+        json.add(section + "_sample_clusters",
+                 static_cast<uint64_t>(s.sweep.rep.sampleWindows));
+        json.add(section + "_sample_seed", sampleSeed(s.sweep.rep.seed));
+    }
+    s.results = runWorkloadSweep(profile, platform, options, s.sweep);
+    return s;
+}
+
+void
+addResultCounters(JsonWriter &json, const SystemResult &r)
+{
+    json.add("instructions", r.instructions);
+    json.add("l3_accesses", r.l3.totalAccesses());
+    json.add("l3_misses", r.l3.totalMisses());
+    json.add("l4_accesses", r.l4.totalAccesses());
+    json.add("l4_misses", r.l4.totalMisses());
+    json.add("writebacks", r.writebacks);
+    json.add("back_invalidations", r.backInvalidations);
+    json.add("sampled_windows", r.sampledWindows);
+    json.add("represented_windows", r.representedWindows);
+    json.add("band_lo", r.l3MissBandLo());
+    json.add("band_hi", r.l3MissBandHi());
+    json.add("band_rel", r.bandRelHalfWidth());
+}
+
+std::string
+bandCell(const SystemResult &r)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3g..%.3g (+-%.1f%%)",
+                  r.l3MissBandLo(), r.l3MissBandHi(),
+                  100.0 * r.bandRelHalfWidth());
+    return buf;
 }
 
 void

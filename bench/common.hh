@@ -2,10 +2,11 @@
  * @file
  * Shared harness for the figure/table bench drivers: command-line
  * parsing (--smoke, --threads, --sampling), the standard
- * RunOptions/budget boilerplate every driver used to duplicate, the
- * SweepOptions fed to the parallel sweep engine, wall-clock timing,
- * and a minimal JSON emitter for machine-readable bench output
- * (BENCH_*.json).
+ * RunOptions/budget boilerplate, the SweepOptions fed to the parallel
+ * sweep engine, the one route a simulator driver runs and records a
+ * sweep section through (runSection, addResultCounters, bandCell),
+ * wall-clock timing, and a minimal JSON emitter for machine-readable
+ * bench output (BENCH_*.json).
  *
  * Runtime knobs (see README.md):
  *   WSEARCH_SIM_THREADS  sweep worker threads (default: hardware
@@ -44,8 +45,8 @@ struct Args
 
 /**
  * Parse --smoke / --threads=N / --sampling=off|uniform|clustered.
- * Other unknown arguments are ignored; a non-numeric --threads= or an
- * unknown --sampling= value prints a usage line and exits 2.
+ * Any other argument, a non-numeric --threads= or an unknown
+ * --sampling= value prints a usage line and exits 2.
  */
 Args parseArgs(int argc, char **argv);
 
@@ -143,6 +144,47 @@ void beginStandardJson(JsonWriter &json, const std::string &bench_name,
  */
 bool finishStandardJson(JsonWriter &json,
                         const std::string &bench_name, double t0_sec);
+
+/** One sweep section: the options it ran under and its results. */
+struct Section
+{
+    SweepOptions sweep;
+    std::vector<SystemResult> results; ///< positional to the options
+};
+
+/**
+ * Run one sweep section -- every variation in @p options through
+ * runWorkloadSweep under sweepOptions(@p args, @p options,
+ * @p section_default) -- and record its config in @p json:
+ *   <section>_measure_records, <section>_warmup_records
+ *       the record budget of options.front() (a section's
+ *       variations share one budget)
+ * and, only when the sweep samples (SweepOptions::sampled(); under
+ * --smoke an exact section samples too):
+ *   <section>_sampling_policy, <section>_sample_window_records,
+ *   <section>_sample_clusters, <section>_sample_seed
+ * These are config keys for bench_diff.py: a deliberate change of
+ * budget or sampler re-baselines instead of reading as drift.
+ */
+Section runSection(JsonWriter &json, const Args &args,
+                   const std::string &section,
+                   const WorkloadProfile &profile,
+                   const PlatformConfig &platform,
+                   const std::vector<RunOptions> &options,
+                   SamplingPolicy section_default =
+                       SamplingPolicy::kOff);
+
+/**
+ * Append the counters every simulator result row carries to the open
+ * row object: instructions, l3_accesses, l3_misses, l4_accesses,
+ * l4_misses, writebacks, back_invalidations, sampled_windows,
+ * represented_windows, band_lo, band_hi, band_rel. Drivers write their
+ * key fields before and their figure-specific values after.
+ */
+void addResultCounters(JsonWriter &json, const SystemResult &r);
+
+/** The "lo..hi (+-rel%)" 95% LLC-miss band table cell of @p r. */
+std::string bandCell(const SystemResult &r);
 
 } // namespace bench
 } // namespace wsearch

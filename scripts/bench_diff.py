@@ -33,6 +33,42 @@ import sys
 WARN_WALL_FRAC = 0.15
 WALL_GATED = ("leaf", "serve", "sweep")
 
+# Config keys of one simulator sweep section (bench::runSection in
+# bench/common.hh writes them as <section>_<key>; the sampling keys only
+# when the section samples). Budgets and sampler knobs are config: a
+# deliberate change re-baselines instead of reading as drift.
+SECTION_KEYS = ("measure_records", "warmup_records", "sampling_policy",
+                "sample_window_records", "sample_clusters",
+                "sample_seed")
+
+
+def sim_config(*sections, extra=()):
+    """Config keys of a simulator driver running @p sections.
+
+    smoke_sampling is config too: a change of the --smoke sampler
+    re-baselines the smoke rows instead of reading as drift."""
+    return (["smoke", "smoke_sampling"] + list(extra) +
+            ["%s_%s" % (s, k) for s in sections for k in SECTION_KEYS])
+
+
+# The deterministic counters every simulator result row carries
+# (bench::addResultCounters); band_lo/hi/rel are derived and ungated.
+SIM_ROW_COUNTERS = ["instructions", "l3_accesses", "l3_misses",
+                    "l4_accesses", "l4_misses", "writebacks",
+                    "back_invalidations", "sampled_windows",
+                    "represented_windows"]
+
+
+def sim_gate(config, key_by, counters=(), invariants=()):
+    return {
+        "config": config,
+        "counters": list(counters),
+        "rows": {"field": "rows", "key_by": key_by,
+                 "counters": SIM_ROW_COUNTERS},
+        "invariants": list(invariants),
+    }
+
+
 # Per-bench deterministic keys: equal configs must reproduce these
 # exactly. Keys listed under "rows" are compared per rows[] element,
 # matched by the "key_by" fields. Wall-clock-derived numbers (qps,
@@ -81,19 +117,8 @@ GATES = {
         },
         "invariants": [("scaling_rows_ok", 1)],
     },
-    "replacement": {
-        # smoke_sampling is config: a change of the --smoke sampler
-        # re-baselines the smoke rows instead of reading as drift.
-        "config": ["smoke", "smoke_sampling"],
-        "counters": [],
-        "rows": {
-            "field": "rows",
-            "key_by": ["l3_capacity", "variant"],
-            "counters": ["l3_accesses", "l3_misses",
-                         "back_invalidations", "instructions"],
-        },
-        "invariants": [],
-    },
+    "replacement": sim_gate(sim_config("scaled"),
+                            ["l3_capacity", "variant"]),
     "micro": {
         "config": ["smoke"],
         "counters": [],
@@ -104,86 +129,27 @@ GATES = {
         },
         "invariants": [],
     },
-    "ablation": {
-        "config": ["smoke", "records_unit"],
-        "counters": [],
-        "rows": {
-            "field": "rows",
-            "key_by": ["study", "variant"],
-            "counters": ["instructions", "l3_misses", "l4_misses",
-                         "back_invalidations"],
-        },
-        "invariants": [],
-    },
-    "fig6bc": {
-        # Sampling knobs are config: a deliberate knob change re-baselines
-        # instead of reading as drift. The band_violations invariant is
-        # the clustered-vs-oracle statistical gate -- the binary also
-        # exits nonzero on it, but asserting it here means a stale or
-        # hand-edited artifact cannot pass either.
-        "config": ["smoke", "smoke_sampling", "cores",
-                   "scaled_measure_records", "scaled_warmup_records",
-                   "nominal_measure_records", "nominal_warmup_records",
-                   "gate_records",
-                   "sampling_policy", "sample_window_records",
-                   "sample_clusters", "sample_seed"],
-        "counters": ["gate_oracle_l3_misses",
-                     "gate_clustered_l3_misses",
-                     "gate_uniform_l3_misses", "band_violations"],
-        "rows": {
-            "field": "rows",
-            "key_by": ["section", "l3_sim_bytes"],
-            "counters": ["instructions", "l3_accesses", "l3_misses",
-                         "sampled_windows", "represented_windows"],
-        },
-        "invariants": [("band_violations", 0)],
-    },
-    "fig8": {
-        "config": ["smoke", "smoke_sampling", "cores",
-                   "scaled_measure_records", "scaled_warmup_records",
-                   "nominal_measure_records", "nominal_warmup_records",
-                   "sampling_policy",
-                   "sample_window_records", "sample_clusters",
-                   "sample_seed"],
-        "counters": [],
-        "rows": {
-            "field": "rows",
-            "key_by": ["section", "ways"],
-            "counters": ["instructions", "l3_accesses", "l3_misses",
-                         "sampled_windows", "represented_windows"],
-        },
-        "invariants": [],
-    },
-    "fig9": {
-        "config": ["smoke", "smoke_sampling", "scaled_measure_records",
-                   "scaled_warmup_records", "nominal_measure_records",
-                   "nominal_warmup_records", "sampling_policy",
-                   "sample_window_records", "sample_clusters",
-                   "sample_seed"],
-        "counters": [],
-        "rows": {
-            "field": "rows",
-            "key_by": ["section", "cores", "ways"],
-            "counters": ["instructions", "l3_accesses", "l3_misses",
-                         "sampled_windows", "represented_windows"],
-        },
-        "invariants": [],
-    },
-    "fig13": {
-        "config": ["smoke", "smoke_sampling", "cores", "l3_sim_bytes",
-                   "scaled_measure_records", "scaled_warmup_records",
-                   "nominal_measure_records", "nominal_warmup_records",
-                   "sampling_policy", "sample_window_records",
-                   "sample_clusters", "sample_seed"],
-        "counters": [],
-        "rows": {
-            "field": "rows",
-            "key_by": ["section", "l4_sim_bytes"],
-            "counters": ["instructions", "l4_accesses", "l4_misses",
-                         "sampled_windows", "represented_windows"],
-        },
-        "invariants": [],
-    },
+    "ablation": sim_gate(sim_config("l4_fill", "leaf"),
+                         ["study", "variant"]),
+    # The band_violations invariant is the clustered-vs-oracle
+    # statistical gate -- the binary also exits nonzero on it, but
+    # asserting it here means a stale or hand-edited artifact cannot
+    # pass either.
+    "fig6bc": sim_gate(
+        sim_config("scaled", "nominal",
+                   extra=["cores", "gate_records"]),
+        ["section", "l3_sim_bytes"],
+        counters=["gate_oracle_l3_misses", "gate_clustered_l3_misses",
+                  "gate_uniform_l3_misses", "band_violations"],
+        invariants=[("band_violations", 0)]),
+    "fig8": sim_gate(sim_config("scaled", "nominal", extra=["cores"]),
+                     ["section", "ways"]),
+    "fig9": sim_gate(sim_config("scaled", "nominal"),
+                     ["section", "cores", "ways"]),
+    "fig13": sim_gate(
+        sim_config("scaled", "nominal",
+                   extra=["cores", "l3_sim_bytes"]),
+        ["section", "l4_sim_bytes"]),
 }
 
 
@@ -321,11 +287,16 @@ def _sample():
                 "smoke": 1, "smoke_sampling": "uniform", "cores": 16,
                 "scaled_measure_records": 16000000,
                 "scaled_warmup_records": 32000000,
+                "scaled_sampling_policy": "uniform",
+                "scaled_sample_window_records": 500000,
+                "scaled_sample_clusters": 12,
+                "scaled_sample_seed": 12345,
                 "nominal_measure_records": 24000000,
                 "nominal_warmup_records": 12000000,
-                "sampling_policy": "clustered",
-                "sample_window_records": 62500,
-                "sample_clusters": 12, "sample_seed": 12345,
+                "nominal_sampling_policy": "clustered",
+                "nominal_sample_window_records": 62500,
+                "nominal_sample_clusters": 12,
+                "nominal_sample_seed": 12345,
                 "wall_time_sec": 7.0,
                 "rows": [
                     {"section": "scaled", "ways": 2,
@@ -342,12 +313,17 @@ def _sample():
                 "smoke": 1, "smoke_sampling": "uniform", "cores": 16,
                 "scaled_measure_records": 3000000,
                 "scaled_warmup_records": 6000000,
+                "scaled_sampling_policy": "uniform",
+                "scaled_sample_window_records": 93750,
+                "scaled_sample_clusters": 12,
+                "scaled_sample_seed": 12345,
                 "nominal_measure_records": 3000000,
                 "nominal_warmup_records": 1500000,
+                "nominal_sampling_policy": "clustered",
+                "nominal_sample_window_records": 46875,
+                "nominal_sample_clusters": 12,
+                "nominal_sample_seed": 12345,
                 "gate_records": 6000000,
-                "sampling_policy": "clustered",
-                "sample_window_records": 62500,
-                "sample_clusters": 12, "sample_seed": 12345,
                 "gate_oracle_l3_misses": 523200,
                 "gate_clustered_l3_misses": 539815,
                 "gate_uniform_l3_misses": 568376,
@@ -365,12 +341,67 @@ def _sample():
             },
             "replacement": {
                 "smoke": 1, "smoke_sampling": "uniform",
+                "scaled_measure_records": 1000000,
+                "scaled_warmup_records": 2000000,
+                "scaled_sampling_policy": "uniform",
+                "scaled_sample_window_records": 31250,
+                "scaled_sample_clusters": 12,
+                "scaled_sample_seed": 12345,
                 "wall_time_sec": 3.0,
                 "rows": [
                     {"l3_capacity": 9437184, "variant": "srrip",
                      "l3_accesses": 4000, "l3_misses": 700,
                      "back_invalidations": 0,
                      "instructions": 100000},
+                ],
+            },
+            "ablation": {
+                "smoke": 1, "smoke_sampling": "uniform",
+                "l4_fill_measure_records": 3000000,
+                "l4_fill_warmup_records": 3000000,
+                "l4_fill_sampling_policy": "uniform",
+                "l4_fill_sample_window_records": 62500,
+                "l4_fill_sample_clusters": 12,
+                "l4_fill_sample_seed": 12345,
+                "leaf_measure_records": 2000000,
+                "leaf_warmup_records": 2000000,
+                "leaf_sampling_policy": "uniform",
+                "leaf_sample_window_records": 41666,
+                "leaf_sample_clusters": 12,
+                "leaf_sample_seed": 12345,
+                "wall_time_sec": 1.0,
+                "rows": [
+                    {"study": "l4_fill", "variant": "victim",
+                     "instructions": 6000000, "l3_accesses": 300000,
+                     "l3_misses": 162024, "l4_accesses": 162024,
+                     "l4_misses": 140400, "writebacks": 42416,
+                     "back_invalidations": 0, "sampled_windows": 12,
+                     "represented_windows": 96},
+                ],
+            },
+            "fig13": {
+                "smoke": 1, "smoke_sampling": "uniform", "cores": 16,
+                "l3_sim_bytes": 753664,
+                "scaled_measure_records": 3000000,
+                "scaled_warmup_records": 6000000,
+                "scaled_sampling_policy": "uniform",
+                "scaled_sample_window_records": 93750,
+                "scaled_sample_clusters": 12,
+                "scaled_sample_seed": 12345,
+                "nominal_measure_records": 3000000,
+                "nominal_warmup_records": 1500000,
+                "nominal_sampling_policy": "clustered",
+                "nominal_sample_window_records": 46875,
+                "nominal_sample_clusters": 12,
+                "nominal_sample_seed": 12345,
+                "wall_time_sec": 4.0,
+                "rows": [
+                    {"section": "scaled", "l4_sim_bytes": 2097152,
+                     "instructions": 900000, "l3_accesses": 40000,
+                     "l3_misses": 30000, "l4_accesses": 30000,
+                     "l4_misses": 21000, "writebacks": 9000,
+                     "back_invalidations": 0, "sampled_windows": 12,
+                     "represented_windows": 96},
                 ],
             },
         }
@@ -449,7 +480,7 @@ def selftest():
 
         # 11. Changing the sampling seed is a config change, not drift.
         reseed = _sample()
-        reseed["benches"]["fig6bc"]["sample_seed"] = 99
+        reseed["benches"]["fig6bc"]["nominal_sample_seed"] = 99
         reseed["benches"]["fig6bc"]["rows"][1]["l3_misses"] += 17
         assert run_diff(write(reseed, "reseed.json"), base) == []
 
@@ -472,6 +503,29 @@ def selftest():
         f8 = _sample()
         f8["benches"]["fig8"]["rows"][1]["l3_misses"] += 5
         assert run_diff(write(f8, "f8.json"), base)
+
+        # 15. The ablation's --smoke moving from private quarter
+        # budgets (records_unit) onto the sampled sweep is a config
+        # change: its smoke rows re-baseline instead of reading as
+        # drift...
+        quarter = _sample()
+        old = quarter["benches"]["ablation"]
+        for key in [k for k in old if k.startswith(("l4_fill_",
+                                                     "leaf_"))]:
+            del old[key]
+        old["records_unit"] = 500000
+        old["rows"][0].update(instructions=750000, l3_misses=12896,
+                              l4_accesses=12896, l4_misses=9003)
+        assert run_diff(base, write(quarter, "quarter.json")) == []
+        # ...while equal ablation configs still gate every row counter.
+        adrift = _sample()
+        adrift["benches"]["ablation"]["rows"][0]["writebacks"] += 1
+        assert run_diff(write(adrift, "adrift.json"), base)
+
+        # 16. L4 miss drift in a fig13 row fails.
+        f13 = _sample()
+        f13["benches"]["fig13"]["rows"][0]["l4_misses"] += 1
+        assert run_diff(write(f13, "f13.json"), base)
 
     print("bench_diff selftest: all gates behave")
     return 0

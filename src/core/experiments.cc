@@ -108,8 +108,7 @@ runWorkloadSweep(const WorkloadProfile &profile,
     // Representative plans depend only on (trace, total records): one
     // plan per distinct (group, budget) pair, shared by every
     // configuration replaying that trace prefix.
-    const bool planned =
-        opt.policy != SamplingPolicy::kOff && opt.rep.enabled();
+    const bool planned = opt.sampled();
     std::vector<SamplingPlan> plans;
     std::vector<size_t> job_plan(options.size(), 0);
     if (planned) {
@@ -149,8 +148,7 @@ std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
              const SweepOptions &opt)
 {
-    const bool planned =
-        opt.policy != SamplingPolicy::kOff && opt.rep.enabled();
+    const bool planned = opt.sampled();
     std::vector<SystemResult> results(specs.size());
     runParallelJobs(specs.size(), opt.threads, [&](size_t i) {
         const WorkloadSpec &s = specs[i];
@@ -168,43 +166,6 @@ runWorkloads(const std::vector<WorkloadSpec> &specs,
             *trace, buildSweepPlan(*trace, budget.total(), opt));
     });
     return results;
-}
-
-HitRateCurve
-l3HitCurve(const WorkloadProfile &profile,
-           const PlatformConfig &platform, RunOptions opt,
-           const std::vector<uint64_t> &sizes)
-{
-    std::vector<RunOptions> options;
-    for (const uint64_t size : sizes) {
-        opt.l3Bytes = size;
-        options.push_back(opt);
-    }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(profile, platform, options);
-    HitRateCurve curve;
-    for (size_t i = 0; i < sizes.size(); ++i)
-        curve.addPoint(sizes[i], results[i].l3DataHitRate());
-    return curve;
-}
-
-HitRateCurve
-l4HitCurve(const WorkloadProfile &profile,
-           const PlatformConfig &platform, RunOptions opt,
-           const std::vector<uint64_t> &sizes, bool fully_associative)
-{
-    std::vector<RunOptions> options;
-    for (const uint64_t size : sizes) {
-        opt.l4 = cache_gen_victim(size, platform.cacheBlockBytes,
-                                  fully_associative);
-        options.push_back(opt);
-    }
-    const std::vector<SystemResult> results =
-        runWorkloadSweep(profile, platform, options);
-    HitRateCurve curve;
-    for (size_t i = 0; i < sizes.size(); ++i)
-        curve.addPoint(sizes[i], results[i].l4.hitRateTotal());
-    return curve;
 }
 
 void

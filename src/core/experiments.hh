@@ -2,9 +2,7 @@
  * @file
  * Shared experiment-harness helpers used by the bench binaries: run a
  * (workload, platform, hierarchy-variation) combination through the
- * full system simulator with environment-scaled record budgets, and
- * produce the simulation-backed inputs (hit-rate curves) the
- * analytical models consume.
+ * full system simulator with environment-scaled record budgets.
  */
 
 #ifndef WSEARCH_CORE_EXPERIMENTS_HH
@@ -15,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/hit_curve.hh"
 #include "core/platform.hh"
 #include "cpu/system.hh"
 #include "memsim/sweep.hh"
@@ -104,22 +101,6 @@ struct WorkloadSpec
 std::vector<SystemResult>
 runWorkloads(const std::vector<WorkloadSpec> &specs,
              const SweepOptions &opt = {});
-
-/**
- * Sweep total L3 capacity and return the overall L3 hit-rate curve
- * (as seen by the QPS models). @p sizes in bytes.
- */
-HitRateCurve l3HitCurve(const WorkloadProfile &profile,
-                        const PlatformConfig &platform, RunOptions opt,
-                        const std::vector<uint64_t> &sizes);
-
-/**
- * Sweep L4 capacity at a fixed L3 and return the L4 hit-rate curve.
- */
-HitRateCurve l4HitCurve(const WorkloadProfile &profile,
-                        const PlatformConfig &platform, RunOptions opt,
-                        const std::vector<uint64_t> &sizes,
-                        bool fully_associative);
 
 /** Print the standard bench banner. */
 void printBanner(const std::string &experiment_id,

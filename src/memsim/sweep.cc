@@ -39,10 +39,8 @@ RepresentativeSampling
 defaultRepresentativeSampling(uint64_t total_records, uint32_t windows,
                               uint32_t sample_windows)
 {
-    windows = static_cast<uint32_t>(
-        envU64("WSEARCH_SAMPLE_WINDOWS", windows));
-    sample_windows = static_cast<uint32_t>(
-        envU64("WSEARCH_SAMPLE_CLUSTERS", sample_windows));
+    windows = envU32("WSEARCH_SAMPLE_WINDOWS", windows);
+    sample_windows = envU32("WSEARCH_SAMPLE_CLUSTERS", sample_windows);
     RepresentativeSampling rep;
     if (total_records == 0 || windows == 0 || sample_windows == 0)
         return rep;

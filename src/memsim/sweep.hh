@@ -185,6 +185,13 @@ struct SweepOptions
     /** Representative-window policy; kOff replays exactly. */
     SamplingPolicy policy = SamplingPolicy::kOff;
     RepresentativeSampling rep; ///< kUniform/kClustered knobs
+
+    /** True when a sweep under these options replays a plan. */
+    bool
+    sampled() const
+    {
+        return policy != SamplingPolicy::kOff && rep.enabled();
+    }
 };
 
 /**

@@ -7,6 +7,13 @@
  * only their claimed slot -- no mutex, no shared critical section, no
  * cache line ping-pong beyond the two ticket counters.
  *
+ * Contract: producers either block until space frees up (push;
+ * closed-loop clients) or fail immediately (tryPush; open-loop
+ * overload shedding); consumers block until work arrives. close()
+ * initiates shutdown: already-queued items still drain, further
+ * pushes are refused, and blocked poppers return once the ring is
+ * empty.
+ *
  * Blocking semantics (closed-loop clients, worker pop) are retained by
  * a condvar slow path that engages only when the fast path fails:
  * waiters register in an atomic counter, and the fast-path side posts

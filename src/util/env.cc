@@ -41,6 +41,18 @@ envU64(const char *name, uint64_t fallback)
     return parsed;
 }
 
+uint32_t
+envU32(const char *name, uint32_t fallback)
+{
+    const uint64_t v = envU64(name, fallback);
+    if (v > std::numeric_limits<uint32_t>::max()) {
+        const std::string msg = std::string(name) + "=\"" +
+            std::to_string(v) + "\" is out of range (max 4294967295)";
+        wsearch_fatal(msg.c_str());
+    }
+    return static_cast<uint32_t>(v);
+}
+
 bool
 fastMode()
 {

@@ -27,6 +27,13 @@ bool parseU64(const char *s, uint64_t &out);
  */
 uint64_t envU64(const char *name, uint64_t fallback);
 
+/**
+ * envU64 for a 32-bit knob: additionally fatal, naming the variable
+ * and its value, when the value exceeds 2^32-1 (instead of silently
+ * wrapping on a narrowing cast).
+ */
+uint32_t envU32(const char *name, uint32_t fallback);
+
 /** True when WSEARCH_FAST is set to a nonzero value. */
 bool fastMode();
 

@@ -191,15 +191,15 @@ TEST(WorkloadSweep, SampledModeReportsWindowsAndApproximatesExact)
 
 TEST(WorkloadSweep, HitCurvesComeBackOrdered)
 {
-    // l3HitCurve rides the sweep engine now; sanity-check the curve
-    // is keyed by the requested sizes and monotone-ish in capacity.
+    // A capacity ladder comes back positional to its options and
+    // monotone-ish in capacity.
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
-    RunOptions opt = smallOpt(0);
-    opt.l3Bytes.reset();
-    const std::vector<uint64_t> sizes = {512 * KiB, 2 * MiB, 8 * MiB};
-    const HitRateCurve curve =
-        l3HitCurve(prof, PlatformConfig::plt1(), opt, sizes);
-    EXPECT_LE(curve.hitRate(512 * KiB), curve.hitRate(8 * MiB) + 1e-9);
+    const std::vector<RunOptions> options = {
+        smallOpt(512 * KiB), smallOpt(2 * MiB), smallOpt(8 * MiB)};
+    const std::vector<SystemResult> r =
+        runWorkloadSweep(prof, PlatformConfig::plt1(), options);
+    ASSERT_EQ(r.size(), options.size());
+    EXPECT_LE(r[0].l3DataHitRate(), r[2].l3DataHitRate() + 1e-9);
 }
 
 } // namespace

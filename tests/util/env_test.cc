@@ -39,6 +39,23 @@ TEST(Env, InvalidFallsBack)
     unsetenv("WSEARCH_TEST_VAR");
 }
 
+TEST(Env, U32RejectsValuesPast32Bits)
+{
+    // A 32-bit knob must not wrap: 2^32 would silently become 0 and
+    // 2^32+1 would become 1 under a narrowing cast.
+    setenv("WSEARCH_TEST_VAR", "4294967295", 1);
+    EXPECT_EQ(envU32("WSEARCH_TEST_VAR", 9), 4294967295u);
+    unsetenv("WSEARCH_TEST_VAR");
+    EXPECT_EQ(envU32("WSEARCH_TEST_VAR", 9), 9u);
+    for (const char *bad : {"4294967296", "4294967297", "abc"}) {
+        setenv("WSEARCH_TEST_VAR", bad, 1);
+        EXPECT_DEATH(envU32("WSEARCH_TEST_VAR", 9),
+                     std::string("WSEARCH_TEST_VAR=\"") + bad + "\"")
+            << bad;
+    }
+    unsetenv("WSEARCH_TEST_VAR");
+}
+
 TEST(Env, TraceBudgetFastMode)
 {
     unsetenv("WSEARCH_RECORDS");
