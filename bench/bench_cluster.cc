@@ -31,6 +31,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common.hh"
 #include "search/corpus.hh"
 #include "search/sharding.hh"
 #include "serve/cluster.hh"
@@ -50,18 +51,6 @@ clusterClients()
     if (clients < 1)
         wsearch_fatal("WSEARCH_CLUSTER_CLIENTS must be >= 1");
     return clients;
-}
-
-QueryGenerator::Config
-trafficFor(const CorpusConfig &corpus)
-{
-    QueryGenerator::Config qc;
-    qc.vocabSize = corpus.vocabSize;
-    qc.distinctQueries = 1u << 16;
-    qc.popularityTheta = 0.9;
-    qc.maxTerms = 3;
-    qc.conjunctiveFrac = 0.7;
-    return qc;
 }
 
 std::string
@@ -97,7 +86,7 @@ runBenchCluster()
     };
 
     LoadGenConfig lg;
-    lg.queries = trafficFor(cc);
+    lg.queries = bench::servingTraffic(cc);
     lg.clients = clients;
     lg.numQueries = fast ? 800 : 3000;
 
@@ -252,7 +241,7 @@ runBenchFaults()
     const ShardedIndex si = buildShardedIndex(corpus, num_shards);
 
     LoadGenConfig lg;
-    lg.queries = trafficFor(cc);
+    lg.queries = bench::servingTraffic(cc);
     lg.clients = clients;
     lg.numQueries = fast ? 600 : 2000;
 

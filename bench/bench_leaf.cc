@@ -20,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,21 +27,13 @@
 
 #include "common.hh"
 #include "search/executor.hh"
+#include "serve/clock.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
 namespace wsearch {
 namespace {
-
-uint64_t
-nowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 struct EngineRun
 {

@@ -40,18 +40,6 @@
 namespace wsearch {
 namespace {
 
-QueryGenerator::Config
-trafficFor(const CorpusConfig &corpus)
-{
-    QueryGenerator::Config qc;
-    qc.vocabSize = corpus.vocabSize; // terms must exist in the shard
-    qc.distinctQueries = 1u << 16;
-    qc.popularityTheta = 0.9;
-    qc.maxTerms = 3;
-    qc.conjunctiveFrac = 0.7;
-    return qc;
-}
-
 void
 runBenchServe()
 {
@@ -72,7 +60,7 @@ runBenchServe()
     const MaterializedIndex index(corpus);
 
     LoadGenConfig lg;
-    lg.queries = trafficFor(cc);
+    lg.queries = bench::servingTraffic(cc);
 
     // --- 1. Calibrate saturation capacity (closed loop). -------------
     LeafWorkerPool::Config pc;

@@ -100,6 +100,18 @@ banner(const Args &args, const std::string &experiment_id,
                     "numbers are estimates)\n\n");
 }
 
+QueryGenerator::Config
+servingTraffic(const CorpusConfig &corpus)
+{
+    QueryGenerator::Config qc;
+    qc.vocabSize = corpus.vocabSize;
+    qc.distinctQueries = 1u << 16;
+    qc.popularityTheta = 0.9;
+    qc.maxTerms = 3;
+    qc.conjunctiveFrac = 0.7;
+    return qc;
+}
+
 double
 nowSec()
 {

@@ -5,8 +5,9 @@
  * RunOptions/budget boilerplate, the SweepOptions fed to the parallel
  * sweep engine, the one route a simulator driver runs and records a
  * sweep section through (runSection, addResultCounters, bandCell),
- * wall-clock timing, and a minimal JSON emitter for machine-readable
- * bench output (BENCH_*.json).
+ * the serving benches' query mix (servingTraffic), wall-clock timing,
+ * and a minimal JSON emitter for machine-readable bench output
+ * (BENCH_*.json).
  *
  * Runtime knobs (see README.md):
  *   WSEARCH_SIM_THREADS  sweep worker threads (default: hardware
@@ -28,6 +29,8 @@
 #include <vector>
 
 #include "core/experiments.hh"
+#include "search/corpus.hh"
+#include "search/query.hh"
 
 namespace wsearch {
 namespace bench {
@@ -81,6 +84,14 @@ RunOptions baseOptions(uint32_t cores, uint64_t measure_records,
  */
 void banner(const Args &args, const std::string &experiment_id,
             const std::string &description);
+
+/**
+ * The serving benches' query traffic over a corpus generated from
+ * @p corpus: 64Ki distinct Zipf(0.9) queries of 1-3 terms, 70%
+ * conjunctive, drawn from the corpus vocabulary so every term exists
+ * in the shards.
+ */
+QueryGenerator::Config servingTraffic(const CorpusConfig &corpus);
 
 /** Monotonic wall clock in seconds. */
 double nowSec();

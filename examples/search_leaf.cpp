@@ -1,11 +1,12 @@
 /**
  * @file
- * End-to-end mini search system: build a materialized inverted index
- * over a synthetic corpus, stand up a two-leaf serving tree with a
- * query-cache tier, serve real queries, then run the *instrumented*
- * engine as a trace source through the cache simulator and print its
- * memory-hierarchy profile — the same pipeline the paper used with
- * production servers and Pin traces.
+ * End-to-end mini search system: partition a synthetic corpus into
+ * two materialized index shards, stand up a scatter-gather serving
+ * cluster with a query-cache tier in front of each leaf, serve real
+ * queries, then run the *instrumented* engine as a trace source
+ * through the cache simulator and print its memory-hierarchy profile
+ * -- the same pipeline the paper used with production servers and
+ * Pin traces.
  *
  *   ./examples/search_leaf
  */
@@ -14,30 +15,34 @@
 
 #include "cpu/system.hh"
 #include "search/engine_trace.hh"
-#include "search/root.hh"
+#include "search/sharding.hh"
+#include "serve/cluster.hh"
 
 int
 main()
 {
     using namespace wsearch;
 
-    // --- Part 1: functional search over a real (materialized) index.
+    // --- Part 1: functional search over real (materialized) shards.
     CorpusConfig cc;
     cc.numDocs = 5000;
     cc.vocabSize = 4000;
     cc.avgDocLen = 100;
     CorpusGenerator corpus(cc);
-    MaterializedIndex index(corpus);
-    std::printf("Built index: %u docs, %u terms, %s of postings\n",
-                index.numDocs(), index.numTerms(),
-                formatBytes(index.shardBytes()).c_str());
+    const ShardedIndex sharded = buildShardedIndex(corpus, 2);
+    uint64_t shard_bytes = 0;
+    for (uint32_t s = 0; s < sharded.numShards(); ++s)
+        shard_bytes += sharded.shard(s).shardBytes();
+    std::printf("Built %u shards: %u docs, %s of postings\n",
+                sharded.numShards(), cc.numDocs,
+                formatBytes(shard_bytes).c_str());
 
-    LeafServer::Config lc0, lc1;
-    lc0.numThreads = lc1.numThreads = 2;
-    lc0.docIdStride = lc1.docIdStride = 2;
-    lc1.docIdOffset = 1;
-    LeafServer leaf0(index, lc0), leaf1(index, lc1);
-    MultiLevelTree tree({&leaf0, &leaf1}, /*fanout=*/2, 1024);
+    ClusterConfig ccfg;
+    ccfg.replicasPerShard = 1;
+    ccfg.pool.numWorkers = 2;
+    ccfg.pool.cacheCapacity = 1024;
+    ccfg.deadlineNs = 0; // wait for every shard: full pages only
+    ClusterServer cluster(sharded.shardPtrs(), ccfg);
 
     QueryGenerator::Config qc;
     qc.vocabSize = cc.vocabSize;
@@ -46,18 +51,26 @@ main()
     for (int i = 0; i < 2000; ++i) {
         SearchRequest req;
         req.query = queries.next();
-        tree.handle(i % 2, req);
+        cluster.handle(req);
     }
-    std::printf("Served %llu queries; cache hit rate %.1f%%; "
-                "leaf fan-outs %llu\n",
-                (unsigned long long)tree.stats().queries,
-                100.0 * tree.cache().hitRate(),
-                (unsigned long long)tree.stats().leafQueries);
+    const ClusterSnapshot snap = cluster.snapshot();
+    uint64_t hits = 0, lookups = 0;
+    for (const ShardSnapshot &ss : snap.shards) {
+        hits += ss.pool.cacheHits;
+        lookups += ss.pool.cacheLookups;
+    }
+    std::printf("Served %llu cluster queries; pool cache hit rate "
+                "%.1f%%; leaf executions %llu\n",
+                (unsigned long long)snap.queries,
+                lookups ? 100.0 * static_cast<double>(hits) /
+                        static_cast<double>(lookups)
+                        : 0.0,
+                (unsigned long long)snap.leafExecuted());
 
     const Query sample = queries.materialize(123);
     SearchRequest sample_req;
     sample_req.query = sample;
-    const auto results = tree.handle(0, sample_req).docs;
+    const auto results = cluster.handle(sample_req).page.docs;
     std::printf("Sample query %llu (%zu terms, %s): top hits ",
                 (unsigned long long)sample.id, sample.terms.size(),
                 sample.conjunctive ? "AND" : "OR");

@@ -61,6 +61,11 @@ main(int argc, char **argv)
         CacheHierarchy hier(h);
         const SimResult r =
             runTrace(reader, hier, records / 4, records / 2);
+        if (!reader.ok()) {
+            std::fprintf(stderr, "corrupt trace record in %s\n",
+                         path.c_str());
+            return 1;
+        }
         std::printf("replay with %-7s L3: L2 MPKI %6.2f | L3 MPKI "
                     "%6.2f | L3 hit %5.1f%%\n",
                     formatBytes(l3).c_str(),

@@ -104,6 +104,8 @@ CacheHierarchy::handleLlcEviction(uint64_t evicted, bool dirty)
             inv |= l1i_c_[c]->invalidate(evicted);
             inv |= l1d_c_[c]->invalidate(evicted);
             inv |= l2_c_[c]->invalidate(evicted);
+            if (!l2i_c_.empty())
+                inv |= l2i_c_[c]->invalidate(evicted);
             if (inv)
                 ++backInvalidations_;
         }

@@ -25,7 +25,7 @@ class EngineTraceSource::QueueSink : public TouchSink
 
 EngineTraceSource::EngineTraceSource(const IndexShard &shard,
                                      const EngineTraceConfig &cfg)
-    : shard_(shard), cfg_(cfg), cache_(cfg.queryCacheEntries)
+    : cfg_(cfg), cache_(cfg.queryCacheEntries)
 {
     wsearch_assert(cfg.numThreads >= 1);
     wsearch_assert(cfg.touchGranularity >= 1);

@@ -62,11 +62,6 @@ class EngineTraceSource : public TraceSource
     uint64_t cacheAbsorbed() const { return cacheAbsorbed_; }
     LeafServer &leaf() { return *leaf_; }
 
-    /** Codec of the traced shard, so memsim studies can label the
-     *  shard access stream with the posting layout that produced it
-     *  (varint vs packed MPKI comparisons). */
-    PostingCodec shardCodec() const { return shard_.codec(); }
-
   private:
     struct PendingTouch
     {
@@ -91,7 +86,6 @@ class EngineTraceSource : public TraceSource
     void refillThread(uint32_t tid);
     void emitRecord(TraceRecord &rec, uint32_t tid);
 
-    const IndexShard &shard_;
     EngineTraceConfig cfg_;
     std::unique_ptr<QueueSink> sink_;
     std::unique_ptr<LeafServer> leaf_;

@@ -98,24 +98,6 @@ LeafServer::snapshot() const
     return snapshot_;
 }
 
-PostingCodec
-LeafServer::shardCodec() const
-{
-    if (!live())
-        return shard_->codec();
-    const auto snap = snapshot();
-    for (const SegmentView &v : snap->segments)
-        return v.segment->codec();
-    return PostingCodec::kVarint; // empty snapshot: nothing encoded
-}
-
-const ExecStats &
-LeafServer::lastStats(uint32_t tid) const
-{
-    return live() ? searchers_[tid]->lastStats()
-                  : executors_[tid]->lastStats();
-}
-
 FootprintStats
 LeafServer::footprint() const
 {

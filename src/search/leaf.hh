@@ -142,17 +142,8 @@ class LeafServer
         return *shard_;
     }
 
-    /**
-     * Posting codec this leaf serves: the frozen shard's codec, or
-     * for live leaves the codec of the current snapshot's segments
-     * (kVarint when the snapshot is empty).
-     */
-    PostingCodec shardCodec() const;
-
     uint32_t numThreads() const { return cfg_.numThreads; }
     uint64_t queriesServed() const { return queriesServed_.load(); }
-
-    const ExecStats &lastStats(uint32_t tid) const;
 
   private:
     const IndexShard *shard_; ///< null in live mode

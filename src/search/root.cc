@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "search/topk.hh"
+#include "util/logging.hh"
 
 namespace wsearch {
 
@@ -45,21 +46,6 @@ RootServer::merge(const std::vector<std::vector<ScoredDoc>> &partials,
 MergedPage
 RootServer::mergeWithCoverage(
     const std::vector<std::vector<ScoredDoc>> &partials,
-    const std::vector<uint8_t> &answered, uint32_t k)
-{
-    wsearch_assert(partials.size() == answered.size());
-    MergedPage page;
-    page.shardsTotal = static_cast<uint32_t>(partials.size());
-    for (const uint8_t a : answered)
-        page.shardsAnswered += a ? 1 : 0;
-    page.docs = dedupMerge(partials, k,
-                           [&](size_t s) { return answered[s] != 0; });
-    return page;
-}
-
-MergedPage
-RootServer::mergeWithCoverage(
-    const std::vector<std::vector<ScoredDoc>> &partials,
     const std::vector<ShardOutcome> &outcomes, uint32_t k)
 {
     wsearch_assert(partials.size() == outcomes.size());
@@ -75,61 +61,6 @@ RootServer::mergeWithCoverage(
         return outcomes[s] == ShardOutcome::Answered;
     });
     return page;
-}
-
-MultiLevelTree::MultiLevelTree(std::vector<LeafServer *> leaves,
-                               uint32_t fanout, size_t cache_capacity)
-    : cache_(cache_capacity)
-{
-    wsearch_assert(!leaves.empty());
-    wsearch_assert(fanout >= 1);
-    for (size_t i = 0; i < leaves.size(); i += fanout) {
-        std::vector<LeafServer *> group;
-        for (size_t j = i; j < std::min(leaves.size(), i + fanout); ++j)
-            group.push_back(leaves[j]);
-        groups_.push_back(std::move(group));
-    }
-}
-
-SearchResponse
-MultiLevelTree::handle(uint32_t tid, const SearchRequest &req)
-{
-    const Query &query = req.query;
-    SearchResponse resp;
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lk(cacheMu_);
-        if (cache_.lookup(query.id, &resp.docs)) {
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
-            return resp;
-        }
-    }
-    // Each intermediate parent merges its group's leaf results before
-    // forwarding the group top-k to the root.
-    std::vector<std::vector<ScoredDoc>> parent_results;
-    parent_results.reserve(groups_.size());
-    for (const auto &group : groups_) {
-        std::vector<std::vector<ScoredDoc>> partials;
-        partials.reserve(group.size());
-        for (LeafServer *leaf : group) {
-            SearchResponse leaf_resp =
-                leaf->serve(tid % leaf->numThreads(), req);
-            resp.stats.merge(leaf_resp.stats);
-            resp.degraded = resp.degraded || leaf_resp.degraded ||
-                !leaf_resp.ok;
-            partials.push_back(std::move(leaf_resp.docs));
-            leafQueries_.fetch_add(1, std::memory_order_relaxed);
-        }
-        parent_results.push_back(
-            RootServer::merge(partials, query.topK));
-        parentMerges_.fetch_add(1, std::memory_order_relaxed);
-    }
-    resp.docs = RootServer::merge(parent_results, query.topK);
-    if (!resp.degraded) {
-        std::lock_guard<std::mutex> lk(cacheMu_);
-        cache_.insert(query.id, resp.docs);
-    }
-    return resp;
 }
 
 } // namespace wsearch

@@ -1,23 +1,19 @@
 /**
  * @file
- * Root aggregation and the serving tree (paper Figure 1): a query
- * enters at the front end, is filtered by the query-cache tier, fans
- * out to every leaf (each holding a disjoint shard partition), and
- * the root merges the per-leaf top-k into the final result page.
+ * Root aggregation (paper Figure 1): the root merges the per-leaf
+ * top-k of every leaf (each holding a disjoint shard partition) into
+ * the final result page. The serving tree that scatters queries to
+ * the leaves, behind the query-cache tier, is ClusterServer
+ * (serve/cluster.hh).
  */
 
 #ifndef WSEARCH_SEARCH_ROOT_HH
 #define WSEARCH_SEARCH_ROOT_HH
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "search/cache_server.hh"
-#include "search/leaf.hh"
-#include "search/query.hh"
+#include "search/types.hh"
 
 namespace wsearch {
 
@@ -86,15 +82,6 @@ class RootServer
           uint32_t k);
 
     /**
-     * Coverage-aware merge: only partials[s] with answered[s] != 0
-     * contribute; the page reports shardsAnswered/shardsTotal.
-     * @p answered must be the same length as @p partials.
-     */
-    static MergedPage
-    mergeWithCoverage(const std::vector<std::vector<ScoredDoc>> &partials,
-                      const std::vector<uint8_t> &answered, uint32_t k);
-
-    /**
      * Outcome-aware merge: only ShardOutcome::Answered partials
      * contribute; Unavailable shards are additionally reported in
      * MergedPage::shardsUnavailable so callers can distinguish "late"
@@ -104,75 +91,6 @@ class RootServer
     mergeWithCoverage(const std::vector<std::vector<ScoredDoc>> &partials,
                       const std::vector<ShardOutcome> &outcomes,
                       uint32_t k);
-};
-
-/**
- * The serial serving tree (paper Figure 1): a query-cache tier in
- * front of a root that fans out to intermediate parents, each
- * responsible for a group of leaves and performing its own
- * score/merge step before the root's final merge. A fanout of
- * leaves.size() gives the flat cache + root + leaves tree.
- */
-class MultiLevelTree
-{
-  public:
-    /** Plain counter snapshot (the atomics live in the tree). */
-    struct Stats
-    {
-        uint64_t queries = 0;
-        uint64_t cacheHits = 0;
-        uint64_t parentMerges = 0;
-        uint64_t leafQueries = 0;
-    };
-
-    /**
-     * @param leaves  non-owning, partitioned leaves
-     * @param fanout  leaves per intermediate parent (>= 1)
-     * @param cache_capacity front-end query cache entries (0 = none)
-     */
-    MultiLevelTree(std::vector<LeafServer *> leaves, uint32_t fanout,
-                   size_t cache_capacity);
-
-    /**
-     * Handle one request through cache -> parents -> root merge on
-     * logical thread @p tid. Thread-safe for concurrent callers with
-     * distinct tids (leaf i serves on tid % its numThreads(), per
-     * LeafServer::serve's contract); the cache tier is mutex-guarded
-     * and the stats are atomic. Deadline/cancel propagate to every
-     * leaf; a degraded response (some leaf abandoned mid-query) is
-     * never cached.
-     * @return final merged results (served from cache when possible)
-     */
-    SearchResponse handle(uint32_t tid, const SearchRequest &req);
-
-    /** Consistent-enough counter snapshot, safe mid-traffic. */
-    Stats
-    stats() const
-    {
-        Stats s;
-        s.queries = queries_.load(std::memory_order_relaxed);
-        s.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-        s.parentMerges = parentMerges_.load(std::memory_order_relaxed);
-        s.leafQueries = leafQueries_.load(std::memory_order_relaxed);
-        return s;
-    }
-
-    uint32_t numParents() const
-    {
-        return static_cast<uint32_t>(groups_.size());
-    }
-
-    /** The cache tier; callers must not race with handle(). */
-    QueryCacheServer &cache() { return cache_; }
-
-  private:
-    std::vector<std::vector<LeafServer *>> groups_;
-    mutable std::mutex cacheMu_;
-    QueryCacheServer cache_; ///< guarded by cacheMu_
-    std::atomic<uint64_t> queries_{0};
-    std::atomic<uint64_t> cacheHits_{0};
-    std::atomic<uint64_t> parentMerges_{0};
-    std::atomic<uint64_t> leafQueries_{0};
 };
 
 } // namespace wsearch

@@ -79,15 +79,11 @@ ClusterServer::buildShards(
     for (uint32_t s = 0; s < num_shards; ++s) {
         auto state = std::make_unique<ShardState>();
         LeafWorkerPool::Config pc = cfg_.pool;
-        if (!shards.empty() && cfg_.partitionDocIds) {
-            pc.leaf.docIdStride = num_shards;
-            pc.leaf.docIdOffset = s;
-        }
-        if (shards.empty()) {
-            // Live segments carry global doc ids; identity mapping.
-            pc.leaf.docIdStride = 1;
-            pc.leaf.docIdOffset = 0;
-        }
+        // Frozen shard s holds global docs s, s + S, ...; live
+        // segments carry global doc ids already (identity mapping).
+        const bool live = shards.empty();
+        pc.leaf.docIdStride = live ? 1 : num_shards;
+        pc.leaf.docIdOffset = live ? 0 : s;
         pc.shardId = s;
         if (cfg_.clock)
             pc.clock = cfg_.clock;
@@ -97,7 +93,7 @@ ClusterServer::buildShards(
         state->replicas.reserve(cfg_.replicasPerShard);
         for (uint32_t r = 0; r < cfg_.replicasPerShard; ++r) {
             pc.replicaId = r;
-            if (shards.empty())
+            if (live)
                 state->replicas.push_back(
                     std::make_unique<LeafWorkerPool>(
                         indexes[s]->snapshot(), pc));

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "serve/clock.hh"
@@ -11,13 +13,15 @@ namespace wsearch {
 
 namespace {
 
-/** Samples pool queue depth every @p period_ms until stopped. */
+/** Queue-depth sampling period (ms). */
+constexpr uint32_t kDepthSampleMs = 2;
+
+/** Samples pool queue depth every kDepthSampleMs until stopped. */
 class DepthSampler
 {
   public:
-    DepthSampler(const LeafWorkerPool &pool, uint32_t period_ms)
-        : pool_(pool), periodMs_(period_ms ? period_ms : 1),
-          thread_([this] { run(); })
+    explicit DepthSampler(const LeafWorkerPool &pool)
+        : pool_(pool), thread_([this] { run(); })
     {
     }
 
@@ -55,12 +59,11 @@ class DepthSampler
             sumDepth_ += d;
             ++samples_;
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(periodMs_));
+                std::chrono::milliseconds(kDepthSampleMs));
         }
     }
 
     const LeafWorkerPool &pool_;
-    const uint32_t periodMs_;
     std::atomic<bool> done_{false};
     // Written only by the sampler thread; read after stop().
     uint64_t maxDepth_ = 0;
@@ -102,7 +105,7 @@ runOpenLoop(LeafWorkerPool &pool, const LoadGenConfig &cfg)
     Rng arrivals(mix64(cfg.seed ^ 0x0a11ull));
     const double mean_gap_ns = 1e9 / cfg.offeredQps;
 
-    DepthSampler sampler(pool, cfg.depthSampleMs);
+    DepthSampler sampler(pool);
     const uint64_t start = nowNs();
     uint64_t next_arrival = start;
     for (uint64_t i = 0; i < cfg.numQueries; ++i) {
@@ -127,7 +130,7 @@ runClosedLoop(LeafWorkerPool &pool, const LoadGenConfig &cfg)
     wsearch_assert(cfg.clients >= 1);
     std::atomic<uint64_t> issued{0};
 
-    DepthSampler sampler(pool, cfg.depthSampleMs);
+    DepthSampler sampler(pool);
     const uint64_t start = nowNs();
     std::vector<std::thread> clients;
     clients.reserve(cfg.clients);
@@ -136,14 +139,18 @@ runClosedLoop(LeafWorkerPool &pool, const LoadGenConfig &cfg)
             QueryGenerator gen(cfg.queries,
                                cfg.seed + 7919ull * (c + 1));
             while (issued.fetch_add(1) < cfg.numQueries) {
-                auto reply = std::make_shared<
-                    std::promise<std::vector<ScoredDoc>>>();
-                auto fut = reply->get_future();
+                auto replied = std::make_shared<std::promise<void>>();
+                std::future<void> fut = replied->get_future();
                 SearchRequest req;
                 req.query = gen.next();
-                pool.submit(req, /*block=*/true, std::move(reply));
-                // Fulfilled on completion, cache hit, or shed.
-                fut.get();
+                pool.submitAsync(req, /*block=*/true,
+                                 [replied](std::vector<ScoredDoc> &&,
+                                           ServeOutcome, uint64_t) {
+                                     replied->set_value();
+                                 });
+                // Ready on completion, cache hit, or shed (and broken
+                // if a fault drops the completion).
+                fut.wait();
             }
         });
     }

@@ -1,6 +1,7 @@
 #include "serve/worker_pool.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace wsearch {
 
@@ -53,9 +54,9 @@ corruptReply(std::vector<ScoredDoc> &docs)
 
 } // namespace
 
-LeafWorkerPool::LeafWorkerPool(const IndexShard &shard,
-                               const Config &cfg)
-    : cfg_(cfg), leaf_(shard, leafConfigFor(cfg)),
+template <typename Source>
+LeafWorkerPool::LeafWorkerPool(const Config &cfg, Source &&source)
+    : cfg_(cfg), leaf_(std::forward<Source>(source), leafConfigFor(cfg)),
       queue_(cfg.queueCapacity),
       cache_(cfg.cacheCapacity, stripeCountFor(cfg))
 {
@@ -68,19 +69,16 @@ LeafWorkerPool::LeafWorkerPool(const IndexShard &shard,
         threads_.emplace_back([this, w] { workerMain(w); });
 }
 
+LeafWorkerPool::LeafWorkerPool(const IndexShard &shard,
+                               const Config &cfg)
+    : LeafWorkerPool(cfg, shard)
+{
+}
+
 LeafWorkerPool::LeafWorkerPool(
     std::shared_ptr<const IndexSnapshot> snapshot, const Config &cfg)
-    : cfg_(cfg), leaf_(std::move(snapshot), leafConfigFor(cfg)),
-      queue_(cfg.queueCapacity),
-      cache_(cfg.cacheCapacity, stripeCountFor(cfg))
+    : LeafWorkerPool(cfg, std::move(snapshot))
 {
-    wsearch_assert(cfg.numWorkers >= 1);
-    slots_.reserve(cfg.numWorkers);
-    for (uint32_t w = 0; w < cfg.numWorkers; ++w)
-        slots_.push_back(std::make_unique<WorkerSlot>());
-    threads_.reserve(cfg.numWorkers);
-    for (uint32_t w = 0; w < cfg.numWorkers; ++w)
-        threads_.emplace_back([this, w] { workerMain(w); });
 }
 
 LeafWorkerPool::~LeafWorkerPool()
@@ -107,26 +105,16 @@ LeafWorkerPool::finish(ServeRequest &req,
                        std::vector<ScoredDoc> &&results,
                        ServeOutcome outcome, uint64_t index_version)
 {
-    if (req.done) {
-        // The callback consumes the results; give the promise (rarely
-        // both are set) a copy first.
-        if (req.reply)
-            req.reply->set_value(results);
+    if (req.done)
         req.done(std::move(results), outcome, index_version);
-    } else if (req.reply) {
-        req.reply->set_value(std::move(results));
-    }
-    req.reply.reset();
     req.done = nullptr;
 }
 
 LeafWorkerPool::Admit
-LeafWorkerPool::submit(const SearchRequest &request, bool block,
-                       Reply reply)
+LeafWorkerPool::submit(const SearchRequest &request, bool block)
 {
     ServeRequest req;
     req.request = request;
-    req.reply = std::move(reply);
     return enqueue(std::move(req), block);
 }
 
@@ -156,11 +144,10 @@ LeafWorkerPool::enqueue(ServeRequest &&req, bool block)
         return Admit::Refused;
     }
 
-    const bool wants_results = req.reply || req.done;
     if (cfg_.cacheCapacity > 0) {
         std::vector<ScoredDoc> hit_results;
         if (cache_.lookup(req.request.query.id,
-                          wants_results ? &hit_results : nullptr,
+                          req.done ? &hit_results : nullptr,
                           &clk)) {
             slab.cacheHits.fetch_add(1, std::memory_order_relaxed);
             finish(req, std::move(hit_results), ServeOutcome::Ok,
@@ -321,9 +308,6 @@ LeafWorkerPool::workerMain(uint32_t worker_id)
         }
         if (fd.dropReply) {
             // The reply is lost in flight: the caller sees silence.
-            // (The promise channel -- closed-loop tests -- is still
-            // fulfilled; silence only makes sense for async callers
-            // that own a deadline.)
             slot.faultDropped.fetch_add(1,
                                         std::memory_order_relaxed);
             req.done = nullptr;

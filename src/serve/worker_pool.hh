@@ -10,7 +10,7 @@
  *    thread id of a shared LeafServer -- i.e. a per-thread
  *    QueryExecutor with tid-tagged scratch over one shared IndexShard,
  *    exactly the paper's SMT co-location model;
- *  - the query-result cache tier (MultiLevelTree's front tier, here
+ *  - the query-result cache tier (the paper's cache servers, here
  *    lock-striped into hash-partitioned segments) sitting in front of
  *    the queue, so popular queries never occupy a worker;
  *  - per-worker latency histograms and throughput counters on
@@ -31,7 +31,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -90,9 +89,7 @@ struct ServeRequest
      */
     SearchRequest request;
     uint64_t enqueueNs = 0; ///< stamped by submit()
-    /** Optional completion channel (closed-loop clients, tests). */
-    std::shared_ptr<std::promise<std::vector<ScoredDoc>>> reply;
-    /** Optional async completion channel (scatter-gather clients). */
+    /** Optional completion channel (null: fire and forget). */
     ServeCompletion done;
 };
 
@@ -100,8 +97,6 @@ struct ServeRequest
 class LeafWorkerPool
 {
   public:
-    using Reply = std::shared_ptr<std::promise<std::vector<ScoredDoc>>>;
-
     struct Config
     {
         uint32_t numWorkers = 2;
@@ -182,22 +177,22 @@ class LeafWorkerPool
     LeafWorkerPool &operator=(const LeafWorkerPool &) = delete;
 
     /**
-     * Submit one request (query + deadline/cancel/algo policy).
+     * Submit one request (query + deadline/cancel/algo policy) with
+     * no completion: the caller learns only the admission verdict.
      * @param block true: wait for queue space (closed-loop); false:
      *              shed immediately when the queue is full (open-loop)
-     * @param reply optional; fulfilled with the results on CacheHit /
-     *              completion, or with {} when shed
      */
-    Admit submit(const SearchRequest &request, bool block,
-                 Reply reply = nullptr);
+    Admit submit(const SearchRequest &request, bool block);
 
     /**
-     * Asynchronous submit for scatter-gather callers: @p done fires
-     * exactly once per call (possibly synchronously, see
-     * ServeCompletion) -- except when the fault injector drops the
-     * completion, which models a lost response: the caller sees
-     * silence and must rely on its own deadline. Deadline and cancel
-     * ride in @p request (0/null = unused).
+     * Submit with a completion: @p done fires exactly once per call
+     * (possibly synchronously, see ServeCompletion) -- except when the
+     * fault injector drops the completion, which models a lost
+     * response: the caller sees silence and must rely on its own
+     * deadline. A caller that waits on a promise the completion
+     * captures sees it broken instead, once the dropped completion is
+     * destroyed. Deadline and cancel ride in @p request (0/null =
+     * unused).
      */
     Admit submitAsync(const SearchRequest &request, bool block,
                       ServeCompletion done);
@@ -227,6 +222,11 @@ class LeafWorkerPool
     const Config &config() const { return cfg_; }
 
   private:
+    /** Shared body of the public constructors; @p source is the
+     *  frozen shard or the live snapshot the leaf serves. */
+    template <typename Source>
+    LeafWorkerPool(const Config &cfg, Source &&source);
+
     /**
      * Per-worker stats slab. The completion counters are the worker's
      * own cache line (alignas below): it is the only writer, so the

@@ -38,18 +38,23 @@ toDisk(const TraceRecord &r)
     return d;
 }
 
-TraceRecord
-fromDisk(const DiskRecord &d)
+/** Decode @p d into @p r; false when an enum byte is out of range
+ *  (a corrupt or hostile file), leaving @p r unspecified. */
+bool
+fromDisk(const DiskRecord &d, TraceRecord *r)
 {
-    TraceRecord r;
-    r.pc = d.pc;
-    r.addr = d.addr;
-    r.target = d.target;
-    r.tid = d.tid;
-    r.kind = static_cast<AccessKind>(d.kind);
-    r.op = static_cast<MemOp>(d.op);
-    r.branch = static_cast<BranchKind>(d.branch);
-    return r;
+    if (d.kind >= kNumAccessKinds ||
+        d.op > static_cast<uint8_t>(MemOp::Store) ||
+        d.branch > static_cast<uint8_t>(BranchKind::Taken))
+        return false;
+    r->pc = d.pc;
+    r->addr = d.addr;
+    r->target = d.target;
+    r->tid = d.tid;
+    r->kind = static_cast<AccessKind>(d.kind);
+    r->op = static_cast<MemOp>(d.op);
+    r->branch = static_cast<BranchKind>(d.branch);
+    return true;
 }
 
 } // namespace
@@ -132,17 +137,19 @@ TraceFileReader::~TraceFileReader()
 size_t
 TraceFileReader::fill(TraceRecord *buf, size_t max)
 {
-    if (!file_ || position_ >= header_.recordCount)
+    if (!ok() || position_ >= header_.recordCount)
         return 0;
     const size_t want = static_cast<size_t>(std::min<uint64_t>(
         max, header_.recordCount - position_));
     std::vector<DiskRecord> disk(want);
     const size_t got =
         std::fread(disk.data(), sizeof(DiskRecord), want, file_);
-    for (size_t i = 0; i < got; ++i)
-        buf[i] = fromDisk(disk[i]);
-    position_ += got;
-    return got;
+    size_t valid = 0;
+    while (valid < got && fromDisk(disk[valid], &buf[valid]))
+        ++valid;
+    corrupt_ = valid < got;
+    position_ += valid;
+    return valid;
 }
 
 void

@@ -67,7 +67,10 @@ class TraceFileReader : public TraceSource
     TraceFileReader(const TraceFileReader &) = delete;
     TraceFileReader &operator=(const TraceFileReader &) = delete;
 
-    bool ok() const { return file_ != nullptr; }
+    /** False when the file failed to open, or once fill() met a
+     *  record whose kind/op/branch byte is out of range: fill()
+     *  returns the records before it and nothing after. */
+    bool ok() const { return file_ != nullptr && !corrupt_; }
     uint64_t recordCount() const { return header_.recordCount; }
     uint32_t numThreads() const { return header_.numThreads; }
 
@@ -78,6 +81,7 @@ class TraceFileReader : public TraceSource
     std::FILE *file_ = nullptr;
     TraceFileHeader header_;
     uint64_t position_ = 0;
+    bool corrupt_ = false;
 };
 
 } // namespace wsearch

@@ -70,6 +70,24 @@ TEST(SplitL2, DataCapacityShrinks)
     EXPECT_LE(l2_hits, 2u);
 }
 
+TEST(SplitL2, InclusiveLlcBackInvalidatesInstrPartition)
+{
+    HierarchySpec spec = splitConfig(4);
+    spec.llc.inclusion = InclusionMode::Inclusive;
+    CacheHierarchy h(spec);
+    const uint64_t code = 0x400000;
+    h.accessInstr(0, code);
+    // 16 data loads into the code line's LLC set (128 sets of 8 ways)
+    // evict it from the LLC; inclusion must then purge it from every
+    // private cache, the L2 instruction partition included.
+    const uint64_t llc_stride = 128 * 64;
+    for (uint64_t i = 1; i <= 16; ++i)
+        h.accessData(0, 0, code + i * llc_stride, false,
+                     AccessKind::Heap);
+    EXPECT_EQ(h.backInvalidations(), 1u);
+    EXPECT_EQ(h.accessInstr(0, code), HitLevel::Memory);
+}
+
 TEST(SplitL2, StatsStillAggregatePerLevel)
 {
     CacheHierarchy h(splitConfig(4));

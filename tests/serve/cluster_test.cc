@@ -213,9 +213,57 @@ TEST(ClusterServer, ConcurrentCallersStaysConsistent)
         EXPECT_TRUE(ss.pool.consistent());
 }
 
+TEST(ClusterServer, CachedAndUncachedResultsAgree)
+{
+    // Small corpus, few distinct queries: heavy repetition drives
+    // the pool cache tiers.
+    CorpusConfig corpus_cfg;
+    corpus_cfg.numDocs = 600;
+    corpus_cfg.vocabSize = 1500;
+    corpus_cfg.avgDocLen = 40;
+    const CorpusGenerator corpus(corpus_cfg);
+    const ShardedIndex si = buildShardedIndex(corpus, 3);
+
+    ClusterConfig cc;
+    cc.pool.numWorkers = 2;
+    cc.deadlineNs = 0; // full pages only
+    ClusterConfig cached_cc = cc;
+    cached_cc.pool.cacheCapacity = 128;
+    ClusterServer cached(si.shardPtrs(), cached_cc);
+    ClusterServer uncached(si.shardPtrs(), cc);
+
+    QueryGenerator::Config qc;
+    qc.vocabSize = 1500;
+    qc.distinctQueries = 64;
+    qc.maxTerms = 3;
+    QueryGenerator gen(qc);
+    for (uint32_t i = 0; i < 100; ++i) {
+        const Query q = gen.next();
+        const auto a = cached.handle(asRequest(q)).page.docs;
+        const auto b = uncached.handle(asRequest(q)).page.docs;
+        ASSERT_EQ(a.size(), b.size()) << "query " << i;
+        for (size_t j = 0; j < a.size(); ++j) {
+            EXPECT_EQ(a[j].doc, b[j].doc);
+            EXPECT_FLOAT_EQ(a[j].score, b[j].score);
+        }
+    }
+    const auto cacheHits = [](const ClusterServer &cluster) {
+        uint64_t hits = 0;
+        for (const ShardSnapshot &ss : cluster.snapshot().shards)
+            hits += ss.pool.cacheHits;
+        return hits;
+    };
+    EXPECT_GT(cacheHits(cached), 0u);
+    EXPECT_EQ(cacheHits(uncached), 0u);
+}
+
 // ---------------------------------------------------------------
 // Coverage-aware merge (RootServer::mergeWithCoverage)
 // ---------------------------------------------------------------
+
+constexpr ShardOutcome kAns = ShardOutcome::Answered;
+constexpr ShardOutcome kMiss = ShardOutcome::Missed;
+constexpr ShardOutcome kDead = ShardOutcome::Unavailable;
 
 std::vector<std::vector<ScoredDoc>>
 mergeFixture()
@@ -232,11 +280,11 @@ mergeFixture()
 /** Sorted union of the answered partials, truncated to k. */
 std::vector<ScoredDoc>
 sortedReference(const std::vector<std::vector<ScoredDoc>> &partials,
-                const std::vector<uint8_t> &answered, uint32_t k)
+                const std::vector<ShardOutcome> &outcomes, uint32_t k)
 {
     std::vector<ScoredDoc> all;
     for (size_t s = 0; s < partials.size(); ++s)
-        if (answered[s])
+        if (outcomes[s] == kAns)
             all.insert(all.end(), partials[s].begin(),
                        partials[s].end());
     std::sort(all.begin(), all.end(),
@@ -251,11 +299,13 @@ sortedReference(const std::vector<std::vector<ScoredDoc>> &partials,
 TEST(MergeWithCoverage, DegradedPageMatchesSortedReference)
 {
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {1, 1, 1, 0};
+    const std::vector<ShardOutcome> answered = {kAns, kAns, kAns,
+                                               kMiss};
     const MergedPage page =
         RootServer::mergeWithCoverage(partials, answered, 5);
     EXPECT_EQ(page.shardsTotal, 4u);
     EXPECT_EQ(page.shardsAnswered, 3u);
+    EXPECT_EQ(page.shardsUnavailable, 0u); // late, not dead
     EXPECT_TRUE(page.degraded());
     EXPECT_DOUBLE_EQ(page.coverage(), 0.75);
 
@@ -273,7 +323,8 @@ TEST(MergeWithCoverage, DegradedPageMatchesSortedReference)
 TEST(MergeWithCoverage, DeterministicAcrossRepeats)
 {
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {1, 0, 1, 1};
+    const std::vector<ShardOutcome> answered = {kAns, kMiss, kAns,
+                                               kAns};
     const MergedPage first =
         RootServer::mergeWithCoverage(partials, answered, 4);
     for (int rep = 0; rep < 10; ++rep) {
@@ -289,7 +340,8 @@ TEST(MergeWithCoverage, TieBreaksByDocIdAscending)
 {
     // Docs 4 and 5 share score 6.5: lower doc id ranks first.
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {1, 1, 0, 0};
+    const std::vector<ShardOutcome> answered = {kAns, kAns, kMiss,
+                                               kMiss};
     const MergedPage page =
         RootServer::mergeWithCoverage(partials, answered, 6);
     const auto pos = [&](DocId d) {
@@ -309,7 +361,7 @@ TEST(MergeWithCoverage, DeduplicatesKeepingBestScore)
         {{0, 9.0f}, {4, 6.5f}},
         {{4, 7.5f}, {0, 9.0f}},
     };
-    const std::vector<uint8_t> answered = {1, 1};
+    const std::vector<ShardOutcome> answered = {kAns, kAns};
     const MergedPage page =
         RootServer::mergeWithCoverage(partials, answered, 10);
     ASSERT_EQ(page.docs.size(), 2u);
@@ -321,11 +373,13 @@ TEST(MergeWithCoverage, DeduplicatesKeepingBestScore)
 TEST(MergeWithCoverage, ZeroAnsweredYieldsEmptyValidPage)
 {
     const auto partials = mergeFixture();
-    const std::vector<uint8_t> answered = {0, 0, 0, 0};
+    const std::vector<ShardOutcome> answered = {kMiss, kDead, kMiss,
+                                               kDead};
     const MergedPage page =
         RootServer::mergeWithCoverage(partials, answered, 5);
     EXPECT_TRUE(page.docs.empty());
     EXPECT_EQ(page.shardsAnswered, 0u);
+    EXPECT_EQ(page.shardsUnavailable, 2u);
     EXPECT_TRUE(page.degraded());
     EXPECT_DOUBLE_EQ(page.coverage(), 0.0);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "search/corpus.hh"
@@ -34,6 +35,17 @@ asRequest(const Query &q)
     SearchRequest req;
     req.query = q;
     return req;
+}
+
+/** A completion that fulfils *@p out with the results: how a caller
+ *  waits on one request. */
+ServeCompletion
+resultsTo(std::future<std::vector<ScoredDoc>> *out)
+{
+    auto reply = std::make_shared<std::promise<std::vector<ScoredDoc>>>();
+    *out = reply->get_future();
+    return [reply](std::vector<ScoredDoc> &&results, ServeOutcome,
+                   uint64_t) { reply->set_value(std::move(results)); };
 }
 
 QueryGenerator::Config
@@ -70,11 +82,9 @@ TEST(LeafWorkerPool, ConcurrentTopKMatchesSingleThreaded)
     LeafWorkerPool pool(index, pc);
     std::vector<std::future<std::vector<ScoredDoc>>> futures;
     for (const Query &q : queries) {
-        auto reply = std::make_shared<
-            std::promise<std::vector<ScoredDoc>>>();
-        futures.push_back(reply->get_future());
-        EXPECT_EQ(pool.submit(asRequest(q), /*block=*/true,
-                              std::move(reply)),
+        futures.emplace_back();
+        EXPECT_EQ(pool.submitAsync(asRequest(q), /*block=*/true,
+                                   resultsTo(&futures.back())),
                   LeafWorkerPool::Admit::Accepted);
     }
     for (uint32_t i = 0; i < kQueries; ++i) {
@@ -127,19 +137,15 @@ TEST(LeafWorkerPool, CacheTierAnswersRepeats)
     QueryGenerator gen(testTraffic());
     const Query q = gen.next();
 
-    auto reply1 = std::make_shared<
-        std::promise<std::vector<ScoredDoc>>>();
-    auto fut1 = reply1->get_future();
-    EXPECT_EQ(pool.submit(asRequest(q), /*block=*/true,
-                          std::move(reply1)),
+    std::future<std::vector<ScoredDoc>> fut1;
+    EXPECT_EQ(pool.submitAsync(asRequest(q), /*block=*/true,
+                               resultsTo(&fut1)),
               LeafWorkerPool::Admit::Accepted);
     const std::vector<ScoredDoc> first = fut1.get();
 
-    auto reply2 = std::make_shared<
-        std::promise<std::vector<ScoredDoc>>>();
-    auto fut2 = reply2->get_future();
-    EXPECT_EQ(pool.submit(asRequest(q), /*block=*/true,
-                          std::move(reply2)),
+    std::future<std::vector<ScoredDoc>> fut2;
+    EXPECT_EQ(pool.submitAsync(asRequest(q), /*block=*/true,
+                               resultsTo(&fut2)),
               LeafWorkerPool::Admit::CacheHit);
     const std::vector<ScoredDoc> second = fut2.get();
 
@@ -186,11 +192,9 @@ TEST(LeafWorkerPool, ShedFulfillsReplyEmpty)
     LeafWorkerPool pool(testIndex(), pc);
     pool.shutdown();
     QueryGenerator gen(testTraffic());
-    auto reply = std::make_shared<
-        std::promise<std::vector<ScoredDoc>>>();
-    auto fut = reply->get_future();
-    EXPECT_EQ(pool.submit(asRequest(gen.next()), /*block=*/true,
-                          std::move(reply)),
+    std::future<std::vector<ScoredDoc>> fut;
+    EXPECT_EQ(pool.submitAsync(asRequest(gen.next()), /*block=*/true,
+                               resultsTo(&fut)),
               LeafWorkerPool::Admit::Shed);
     EXPECT_TRUE(fut.get().empty());
     const ServeSnapshot s = pool.snapshot();

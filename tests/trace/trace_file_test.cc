@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "memsim/simulator.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
 
@@ -118,6 +119,39 @@ TEST_F(TraceFileTest, ReplayEqualsLiveSource)
             ASSERT_EQ(a[i].addr, b[i].addr);
         }
     }
+}
+
+TEST_F(TraceFileTest, StopsCleanlyAtCorruptKindByte)
+{
+    {
+        SyntheticSearchTrace src(tinyProfile(), 2);
+        TraceFileWriter w(path_, 2);
+        ASSERT_EQ(w.captureFrom(src, 100), 100u);
+    }
+    // Flip record 50's kind byte past the AccessKind range. Layout:
+    // 24-byte header, then 32-byte records with the kind byte at
+    // offset 26 (after pc, addr, target and the 16-bit tid).
+    std::FILE *f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, sizeof(TraceFileHeader) + 50 * 32 + 26,
+                         SEEK_SET),
+              0);
+    const uint8_t bad_kind = 7;
+    ASSERT_EQ(std::fwrite(&bad_kind, 1, 1, f), 1u);
+    std::fclose(f);
+
+    TraceFileReader r(path_);
+    ASSERT_TRUE(r.ok());
+    // Replaying through a hierarchy must never see the bad record:
+    // its kind would index the per-kind level counters out of bounds.
+    HierarchySpec h;
+    h.numCores = 2;
+    CacheHierarchy hier(h);
+    const SimResult res = runTrace(r, hier, 0, 100);
+    EXPECT_EQ(res.instructions, 50u);
+    EXPECT_FALSE(r.ok());
+    TraceRecord buf[4];
+    EXPECT_EQ(r.fill(buf, 4), 0u);
 }
 
 TEST_F(TraceFileTest, RejectsBadMagic)
