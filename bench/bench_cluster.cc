@@ -12,9 +12,9 @@
  *      caps the tail but costs coverage -- the graceful-degradation
  *      trade the root makes instead of failing queries;
  *   3. hedging: replicas suffer occasional background-interference
- *      stalls (the pool's interference knob); with two replicas per
- *      shard, a backup request for the slowest few percent of shard
- *      answers cuts p99 for a few percent of extra executed leaf
+ *      stalls (a FaultPlan delay on every replica); with two replicas
+ *      per shard, a backup request for the slowest few percent of shard
+ *      answers cuts p95 for a few percent of extra executed leaf
  *      load (cancellation reclaims the rest).
  *
  * A fourth section, selected with --faults, injects deterministic
@@ -150,29 +150,32 @@ runBenchCluster()
 
     // --- 3. Hedging stragglers (2 replicas per shard). ---------------
     const uint32_t hedge_shards = 4;
-    // The stall must sit well above the ordinary queueing tail or the
-    // interference never dominates p99 and a hedge has nothing to
-    // beat; 20 ms is ~2-3x the saturated 8-shard p99 on the reference
-    // 1-CPU host.
-    const uint32_t interference_every = 128;
-    const uint64_t interference_pause = 20'000'000; // 20 ms stall
+    // Background interference (an antagonist co-runner, a GC pause):
+    // each replica stalls a seeded 1/128 of the queries it executes.
+    // The stall must sit well above the ordinary queueing tail or it
+    // never dominates p99 and a hedge has nothing to beat; 20 ms is
+    // ~2-3x the saturated 8-shard p99 on the reference 1-CPU host.
+    const uint32_t stall_every = 128;
+    const uint64_t stall_ns = 20'000'000; // 20 ms stall
     std::printf("\n## Hedging (%u shards, 2 replicas each; "
                 "1/%u executions stall %s)\n",
-                hedge_shards, interference_every,
-                fmtDeadline(interference_pause).c_str());
+                hedge_shards, stall_every, fmtDeadline(stall_ns).c_str());
+    FaultPlan stalls;
+    stalls.defaultSpec().delayProb = 1.0 / stall_every;
+    stalls.defaultSpec().delayMinNs = stall_ns;
+    stalls.defaultSpec().delayMaxNs = stall_ns;
     const CorpusGenerator hedge_corpus = corpus_for(hedge_shards);
     const ShardedIndex hedge_index =
         buildShardedIndex(hedge_corpus, hedge_shards);
     ClusterConfig base;
     base.replicasPerShard = 2;
     base.pool.numWorkers = 1;
-    base.pool.interferenceEveryN = interference_every;
-    base.pool.interferencePauseNs = interference_pause;
+    base.faults = &stalls;
     base.deadlineNs = wide_deadline;
 
     // Baseline (hedging off) calibrates the straggler threshold: a
     // delay at the shard-latency p95 hedges only the slowest ~5% of
-    // shard answers -- the interference stalls sit far above it.
+    // shard answers -- the stalls sit far above it.
     ClusterLoadReport baseline;
     {
         ClusterServer cluster(hedge_index.shardPtrs(), base);

@@ -31,8 +31,6 @@ class HitRateCurve
         std::sort(points_.begin(), points_.end());
     }
 
-    size_t numPoints() const { return points_.size(); }
-
     /** Interpolated hit rate; clamps outside the sampled range. */
     double
     hitRate(uint64_t size_bytes) const

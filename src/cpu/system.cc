@@ -4,11 +4,20 @@
 
 namespace wsearch {
 
+namespace {
+
+/** Direction-predictor capacity; production cores have far more
+ *  predictor state than an academic 16K bimodal, which matters
+ *  against search's ~4 MiB code footprint. */
+constexpr uint32_t kPredictorEntries = 128 * 1024;
+
+} // namespace
+
 SystemSimulator::SystemSimulator(const SystemConfig &cfg)
     : cfg_(cfg), hier_(cfg.hierarchy), core_(cfg.core)
 {
     for (uint32_t c = 0; c < cfg.hierarchy.numCores; ++c) {
-        predictors_.emplace_back(cfg.predictorEntries);
+        predictors_.emplace_back(kPredictorEntries);
         if (cfg.modelTlb) {
             dtlbs_.emplace_back(cfg.dtlb);
             itlbs_.emplace_back(cfg.dtlb);

@@ -31,10 +31,6 @@ struct SystemConfig
     CoreModelParams core;
     bool modelTlb = false;
     TlbConfig dtlb;  ///< data-side TLB (also used for instruction side)
-    /** Direction-predictor capacity; production cores have far more
-     *  predictor state than an academic 16K bimodal, which matters
-     *  against search's ~4 MiB code footprint. */
-    uint32_t predictorEntries = 128 * 1024;
 };
 
 /** Everything one system run produces. */

@@ -103,10 +103,6 @@ class CacheUnit
 
     bool fullyAssociative() const { return fa_ != nullptr; }
 
-    /** Set-associative backend handle (tests); null when FA. */
-    SetAssocCache *setAssoc() { return sa_.get(); }
-    FullyAssocLruCache *fullyAssoc() { return fa_.get(); }
-
   private:
     std::unique_ptr<SetAssocCache> sa_;
     std::unique_ptr<FullyAssocLruCache> fa_;

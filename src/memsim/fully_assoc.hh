@@ -103,7 +103,6 @@ class FullyAssocLruCache
         return true;
     }
 
-    uint64_t capacityBlocks() const { return capacity_; }
     uint64_t population() const { return map_.size(); }
     uint32_t blockBytes() const { return 1u << blockShift_; }
 

@@ -196,7 +196,7 @@ CacheHierarchy::missPathInstr(uint32_t core, uint64_t pc)
     bool evicted_dirty = false;
     bool was_pf = false;
     const bool l2_hit =
-        l2.accessTrackPf(pc, false, &was_pf, &evicted, &evicted_dirty);
+        l2.access(pc, false, &evicted, &evicted_dirty, &was_pf);
     l2_.record(AccessKind::Code, !l2_hit);
     if (was_pf)
         ++l2_.prefetchUseful;
@@ -256,8 +256,8 @@ CacheHierarchy::missPathData(uint32_t core, uint64_t addr,
     uint64_t evicted = kNoBlock;
     bool evicted_dirty = false;
     bool was_pf = false;
-    const bool l2_hit = l2.accessTrackPf(addr, is_store, &was_pf,
-                                         &evicted, &evicted_dirty);
+    const bool l2_hit =
+        l2.access(addr, is_store, &evicted, &evicted_dirty, &was_pf);
     l2_.record(kind, !l2_hit);
     if (was_pf)
         ++l2_.prefetchUseful;
@@ -298,7 +298,7 @@ CacheHierarchy::accessData(uint32_t tid, uint64_t pc, uint64_t addr,
         applyCoherence(core, addr, is_store);
     SetAssocCache &l1d = *l1d_c_[core];
     bool was_pf = false;
-    const bool hit = l1d.accessTrackPf(addr, is_store, &was_pf);
+    const bool hit = l1d.access(addr, is_store, nullptr, nullptr, &was_pf);
     l1d_.record(kind, !hit);
     if (was_pf)
         ++l1d_.prefetchUseful;

@@ -76,15 +76,6 @@ class CacheHierarchy
     const CacheLevelStats &l3Stats() const { return l3_; }
     const CacheLevelStats &l4Stats() const { return l4_; }
 
-    /** Combined L1 (I+D) stats. */
-    CacheLevelStats
-    l1Stats() const
-    {
-        CacheLevelStats s = l1i_;
-        s += l1d_;
-        return s;
-    }
-
     uint64_t l3Evictions() const { return l3Evictions_; }
     uint64_t writebacks() const { return writebacks_; }
     uint64_t backInvalidations() const { return backInvalidations_; }
@@ -98,20 +89,6 @@ class CacheHierarchy
 
     /** Clear statistics (keeps cache contents; used after warmup). */
     void resetStats();
-
-    /** Direct cache handles for tests. */
-    SetAssocCache &l1iCache(uint32_t core) { return *l1i_c_[core]; }
-    SetAssocCache &l1dCache(uint32_t core) { return *l1d_c_[core]; }
-    SetAssocCache &l2Cache(uint32_t core) { return *l2_c_[core]; }
-    /** Slice 0 of the LLC (set-associative configs only). */
-    SetAssocCache &l3Cache() { return *llc_c_[0].setAssoc(); }
-    CacheUnit &llcSliceUnit(uint32_t s) { return llc_c_[s]; }
-    uint32_t llcSlices() const
-    {
-        return static_cast<uint32_t>(llc_c_.size());
-    }
-    bool hasL4() const { return l4_c_ != nullptr; }
-    CoherenceDirectory *coherence() { return coh_.get(); }
 
   private:
     HitLevel missPathData(uint32_t core, uint64_t addr, bool is_store,

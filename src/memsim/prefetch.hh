@@ -129,8 +129,6 @@ class StreamPrefetcher
         return n;
     }
 
-    uint32_t degree() const { return degree_; }
-
   private:
     uint32_t degree_;
     uint32_t streak_ = 0;

@@ -42,14 +42,6 @@ cache_gen_llc_inc(uint64_t size_bytes, uint32_t block_bytes,
 }
 
 CacheLevelSpec
-cache_gen_llc_exc(uint64_t size_bytes, uint32_t block_bytes,
-                  uint32_t ways, ReplPolicy repl, uint32_t slices)
-{
-    return cache_gen_llc(size_bytes, block_bytes, ways, repl,
-                         InclusionMode::Exclusive, slices);
-}
-
-CacheLevelSpec
 cache_gen_victim(uint64_t size_bytes, uint32_t block_bytes,
                  bool fully_assoc, bool victim_fill)
 {

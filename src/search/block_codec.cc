@@ -321,7 +321,6 @@ class VarintBlockCodec final : public BlockCodec
 {
   public:
     PostingCodec id() const override { return PostingCodec::kVarint; }
-    const char *name() const override { return "varint"; }
 
     void
     encodeBlock(const DocId *docs, const uint32_t *tfs, uint32_t count,
@@ -359,7 +358,6 @@ class PackedBlockCodec final : public BlockCodec
 {
   public:
     PostingCodec id() const override { return PostingCodec::kPacked; }
-    const char *name() const override { return "packed"; }
 
     void
     encodeBlock(const DocId *docs, const uint32_t *tfs, uint32_t count,
@@ -398,21 +396,10 @@ class PackedBlockCodec final : public BlockCodec
     {
         (void)payload_bytes;
         wsearch_assert(payload_bytes == 0);
-        wsearch_assert(end - begin >=
-                       static_cast<ptrdiff_t>(kPackedHeaderBytes));
-        wsearch_assert(loadLe32(begin) == base);
-        wsearch_assert(loadLe16(begin + 4) == count);
-        const uint32_t gap_bits = begin[6];
-        const uint32_t tf_bits = begin[7];
-        alignas(32) uint32_t gaps[kPostingBlockSize];
-        unpackDispatched(begin + kPackedHeaderBytes, gap_bits, gaps);
-        unpackDispatched(begin + kPackedHeaderBytes + 16 * gap_bits,
-                         tf_bits, tfs);
-        DocId doc = base;
-        for (uint32_t i = 0; i < count; ++i) {
-            doc += gaps[i];
-            docs[i] = doc;
-        }
+        const PackedBlockHeader h = readPackedBlockHeader(begin, end);
+        wsearch_assert(h.base == base);
+        wsearch_assert(h.count == count);
+        decodePackedBlock(begin, h, docs, tfs);
     }
 
     uint32_t tailPadBytes() const override { return kPackedTailPad; }
@@ -421,21 +408,37 @@ class PackedBlockCodec final : public BlockCodec
 } // namespace
 
 PackedBlockHeader
-readPackedBlockHeader(const uint8_t *p)
+readPackedBlockHeader(const uint8_t *p, const uint8_t *end)
 {
+    if (end - p < static_cast<ptrdiff_t>(kPackedHeaderBytes))
+        wsearch_panic("corrupt packed block: header past the list end");
     PackedBlockHeader h;
     h.base = loadLe32(p);
     h.count = loadLe16(p + 4);
     h.gapBits = p[6];
     h.tfBits = p[7];
     h.blockBytes = kPackedHeaderBytes + 16 * (h.gapBits + h.tfBits);
+    if (h.gapBits > 32 || h.tfBits > 32 || h.count == 0 ||
+        h.count > kPostingBlockSize ||
+        h.blockBytes > static_cast<size_t>(end - p))
+        wsearch_panic("corrupt packed block: bit width, count or size "
+                      "out of range");
     return h;
 }
 
-const char *
-postingCodecName(PostingCodec codec)
+void
+decodePackedBlock(const uint8_t *begin, const PackedBlockHeader &h,
+                  DocId *docs, uint32_t *tfs)
 {
-    return BlockCodec::get(codec).name();
+    alignas(32) uint32_t gaps[kPostingBlockSize];
+    unpackDispatched(begin + kPackedHeaderBytes, h.gapBits, gaps);
+    unpackDispatched(begin + kPackedHeaderBytes + 16 * h.gapBits,
+                     h.tfBits, tfs);
+    DocId doc = h.base;
+    for (uint32_t i = 0; i < h.count; ++i) {
+        doc += gaps[i];
+        docs[i] = doc;
+    }
 }
 
 const BlockCodec &

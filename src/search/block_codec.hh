@@ -61,8 +61,6 @@ enum class PostingCodec : uint8_t
     kPacked = 1, ///< bit-packed frame-of-reference blocks
 };
 
-const char *postingCodecName(PostingCodec codec);
-
 /** SIMD slack required after a packed list's final block. */
 constexpr uint32_t kPackedTailPad = 32;
 
@@ -73,7 +71,6 @@ class BlockCodec
     virtual ~BlockCodec() = default;
 
     virtual PostingCodec id() const = 0;
-    virtual const char *name() const = 0;
 
     /**
      * Append one encoded block to @p out. @p docs/@p tfs hold
@@ -117,7 +114,19 @@ struct PackedBlockHeader
     uint32_t blockBytes = 0; ///< header + both payloads
 };
 
-PackedBlockHeader readPackedBlockHeader(const uint8_t *p);
+/**
+ * Read the header of the packed block at @p p, which must end by
+ * @p end. The bytes are untrusted: panics ("corrupt packed block")
+ * unless both bit widths are <= 32, 1 <= count <= kPostingBlockSize
+ * and header + payloads fit in [@p p, @p end). Runs once per block.
+ */
+PackedBlockHeader readPackedBlockHeader(const uint8_t *p,
+                                        const uint8_t *end);
+
+/** Decode the block at @p begin, described by its validated header
+ *  @p h, into @p docs/@p tfs (each sized >= kPostingBlockSize). */
+void decodePackedBlock(const uint8_t *begin, const PackedBlockHeader &h,
+                       DocId *docs, uint32_t *tfs);
 
 /**
  * Bit-unpack primitives behind PackedBlockCodec, exposed so the codec

@@ -1,10 +1,20 @@
 #include "search/engine_trace.hh"
 
-#include <algorithm>
-
 #include "search/touch.hh"
 
 namespace wsearch {
+
+namespace {
+
+/** Data records are emitted one per this many bytes of a touch. */
+constexpr uint32_t kTouchGranularity = 16;
+
+/** Instruction-only records between data records are uniform on
+ *  [0, kMaxCodeGap] (search executes a few instructions per memory
+ *  reference). */
+constexpr uint64_t kMaxCodeGap = 3;
+
+} // namespace
 
 /** Sink that appends touches to the active thread's queue. */
 class EngineTraceSource::QueueSink : public TouchSink
@@ -28,7 +38,6 @@ EngineTraceSource::EngineTraceSource(const IndexShard &shard,
     : cfg_(cfg), cache_(cfg.queryCacheEntries)
 {
     wsearch_assert(cfg.numThreads >= 1);
-    wsearch_assert(cfg.touchGranularity >= 1);
     sink_ = std::make_unique<QueueSink>();
     LeafServer::Config lc;
     lc.numThreads = cfg.numThreads;
@@ -47,28 +56,6 @@ EngineTraceSource::EngineTraceSource(const IndexShard &shard,
 }
 
 EngineTraceSource::~EngineTraceSource() = default;
-
-void
-EngineTraceSource::reset()
-{
-    // Rebuild per-thread state and drop cache contents.
-    cache_ = QueryCacheServer(cfg_.queryCacheEntries);
-    queriesExecuted_ = 0;
-    cacheAbsorbed_ = 0;
-    rr_ = 0;
-    for (uint32_t t = 0; t < cfg_.numThreads; ++t) {
-        uint64_t sm = cfg_.seed + t * 0x9177ull;
-        const uint64_t tseed = splitmix64(sm);
-        threads_[t].code = std::make_unique<CodeModel>(
-            cfg_.code, vaddr::kCodeBase, cfg_.seed, tseed);
-        threads_[t].queries =
-            std::make_unique<QueryGenerator>(cfg_.queries, tseed);
-        threads_[t].pending.clear();
-        threads_[t].chunkPos = 0;
-        threads_[t].codeGap = 0;
-        threads_[t].rng = Rng(tseed ^ 0x9a9ull);
-    }
-}
 
 void
 EngineTraceSource::refillThread(uint32_t tid)
@@ -125,14 +112,12 @@ EngineTraceSource::emitRecord(TraceRecord &rec, uint32_t tid)
     rec.op = front.write ? MemOp::Store : MemOp::Load;
     rec.addr = front.addr + t.chunkPos;
     rec.kind = front.kind;
-    t.chunkPos += cfg_.touchGranularity;
+    t.chunkPos += kTouchGranularity;
     if (t.chunkPos >= front.bytes) {
         t.pending.pop_front();
         t.chunkPos = 0;
     }
-    const uint64_t span = std::max<uint64_t>(
-        1, static_cast<uint64_t>(2.0 * cfg_.codeGapMean));
-    t.codeGap = static_cast<uint32_t>(t.rng.nextRange(span + 1));
+    t.codeGap = static_cast<uint32_t>(t.rng.nextRange(kMaxCodeGap + 1));
 }
 
 size_t

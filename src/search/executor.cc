@@ -139,10 +139,9 @@ QueryExecutor::drainCursor(TermCursorData &t)
 // ---------------------------------------------------------------------
 
 void
-QueryExecutor::executeConjunctive(const Query &q,
-                                  const SearchRequest &policy,
-                                  TopK &topk)
+QueryExecutor::executeConjunctive(const SearchRequest &req, TopK &topk)
 {
+    const Query &q = req.query;
     const size_t n = q.terms.size();
     // Drive the rarest list; gallop the others. Deterministic order
     // (docFreq, term, slot) -- also the canonical scoring order.
@@ -163,7 +162,7 @@ QueryExecutor::executeConjunctive(const Query &q,
     }
 
     TermCursorData &drv = terms_[order_[0]];
-    while (drv.cursor.valid() && !shouldStop(policy)) {
+    while (drv.cursor.valid() && !shouldStop(req)) {
         const DocId cand = drv.cursor.doc();
         bool all = true;
         bool exhausted = false;
@@ -212,10 +211,9 @@ QueryExecutor::executeConjunctive(const Query &q,
 }
 
 void
-QueryExecutor::executeDisjunctive(const Query &q,
-                                  const SearchRequest &policy,
-                                  TopK &topk)
+QueryExecutor::executeDisjunctive(const SearchRequest &req, TopK &topk)
 {
+    const Query &q = req.query;
     const size_t n = q.terms.size();
     // Canonical order for MaxScore: ascending score upper bound.
     // This is also the per-document accumulation order, so the fully
@@ -240,7 +238,7 @@ QueryExecutor::executeDisjunctive(const Query &q,
     for (size_t i = n; i-- > 0;)
         suffixUb_[i] = suffixUb_[i + 1] + terms_[order_[i]].maxScore;
 
-    while (!shouldStop(policy)) {
+    while (!shouldStop(req)) {
         // No pruning until the heap is full: anything can enter.
         const bool full = topk.size() == topk.capacity();
         const double theta =
@@ -325,10 +323,9 @@ QueryExecutor::executeDisjunctive(const Query &q,
 // ---------------------------------------------------------------------
 
 void
-QueryExecutor::executeConjunctiveSeq(const Query &q,
-                                     const SearchRequest &policy,
-                                     TopK &topk)
+QueryExecutor::executeConjunctiveSeq(const SearchRequest &req, TopK &topk)
 {
+    const Query &q = req.query;
     const size_t n = q.terms.size();
     std::sort(order_.begin(), order_.end(),
               [this](uint32_t a, uint32_t b) {
@@ -363,7 +360,7 @@ QueryExecutor::executeConjunctiveSeq(const Query &q,
 
     TermCursorData &drv = terms_[order_[0]];
     bool exhausted = false;
-    while (drv.seq.valid() && !exhausted && !shouldStop(policy)) {
+    while (drv.seq.valid() && !exhausted && !shouldStop(req)) {
         const DocId cand = drv.seq.doc();
         bool all = true;
         for (size_t i = 1; i < n; ++i) {
@@ -399,10 +396,9 @@ QueryExecutor::executeConjunctiveSeq(const Query &q,
 }
 
 void
-QueryExecutor::executeDisjunctiveSeq(const Query &q,
-                                     const SearchRequest &policy,
-                                     TopK &topk)
+QueryExecutor::executeDisjunctiveSeq(const SearchRequest &req, TopK &topk)
 {
+    const Query &q = req.query;
     const size_t n = q.terms.size();
     accum_.clear();
     // Same canonical term order as the pruned engine so per-document
@@ -418,12 +414,12 @@ QueryExecutor::executeDisjunctiveSeq(const Query &q,
                   return a < b;
               });
 
-    for (size_t i = 0; i < n && !shouldStop(policy); ++i) {
+    for (size_t i = 0; i < n && !shouldStop(req); ++i) {
         TermCursorData &t = terms_[order_[i]];
         t.seq.reset(t.view.bytes, t.view.bytes + t.view.size,
                     t.info.docFreq, shard_.payloadBytes(),
                     t.view.codec);
-        while (t.seq.valid() && !shouldStop(policy)) {
+        while (t.seq.valid() && !shouldStop(req)) {
             const DocId doc = t.seq.doc();
             const double s =
                 scoreCandidate(doc, t.seq.tf(), t.info.docFreq);
@@ -468,8 +464,9 @@ QueryExecutor::executeDisjunctiveSeq(const Query &q,
 // ---------------------------------------------------------------------
 
 SearchResponse
-QueryExecutor::executeImpl(const Query &q, const SearchRequest &policy)
+QueryExecutor::execute(const SearchRequest &req)
 {
+    const Query &q = req.query;
     lastStats_ = ExecStats{};
     degraded_ = false;
     checkTick_ = 0;
@@ -483,10 +480,10 @@ QueryExecutor::executeImpl(const Query &q, const SearchRequest &policy)
         return resp;
     }
     // Cancelled/expired before starting: drop without executing.
-    if ((policy.cancel &&
-         policy.cancel->load(std::memory_order_acquire)) ||
-        (policy.deadlineNs != 0 &&
-         timeNowNs() > policy.deadlineNs)) {
+    if ((req.cancel &&
+         req.cancel->load(std::memory_order_acquire)) ||
+        (req.deadlineNs != 0 &&
+         timeNowNs() > req.deadlineNs)) {
         resp.ok = false;
         resp.degraded = true;
         resp.stats = lastStats_;
@@ -503,33 +500,27 @@ QueryExecutor::executeImpl(const Query &q, const SearchRequest &policy)
     topk_.reset(q.topK);
 
     bool conjunctive = q.conjunctive;
-    if (policy.algo == ExecAlgo::kAnd)
+    if (req.algo == ExecAlgo::kAnd)
         conjunctive = true;
-    else if (policy.algo == ExecAlgo::kOr)
+    else if (req.algo == ExecAlgo::kOr)
         conjunctive = false;
-    const bool sequential = policy.algo == ExecAlgo::kSequential;
+    const bool sequential = req.algo == ExecAlgo::kSequential;
 
     if (conjunctive && n > 1) {
         if (sequential)
-            executeConjunctiveSeq(q, policy, topk_);
+            executeConjunctiveSeq(req, topk_);
         else
-            executeConjunctive(q, policy, topk_);
+            executeConjunctive(req, topk_);
     } else {
         if (sequential)
-            executeDisjunctiveSeq(q, policy, topk_);
+            executeDisjunctiveSeq(req, topk_);
         else
-            executeDisjunctive(q, policy, topk_);
+            executeDisjunctive(req, topk_);
     }
     resp.docs = topk_.results();
     resp.stats = lastStats_;
     resp.degraded = degraded_;
     return resp;
-}
-
-SearchResponse
-QueryExecutor::execute(const SearchRequest &req)
-{
-    return executeImpl(req.query, req);
 }
 
 } // namespace wsearch

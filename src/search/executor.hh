@@ -96,12 +96,6 @@ class QueryExecutor
         std::vector<SkipEntry> ownedSkips;
     };
 
-    /** Shared engine behind both execute() overloads; @p policy
-     *  carries deadline/cancel/algo (its query member is unused, so
-     *  the legacy shim can avoid copying the query). */
-    SearchResponse executeImpl(const Query &q,
-                               const SearchRequest &policy);
-
     void loadTerm(TermId term, TermCursorData &out);
     double scoreCandidate(DocId doc, uint32_t tf, uint32_t doc_freq);
     bool shouldStop(const SearchRequest &policy);
@@ -117,16 +111,10 @@ class QueryExecutor
      *  skip scan -> heap touch) after any cursor operation. */
     void drainCursor(TermCursorData &t);
 
-    void executeConjunctive(const Query &q,
-                            const SearchRequest &policy, TopK &topk);
-    void executeDisjunctive(const Query &q,
-                            const SearchRequest &policy, TopK &topk);
-    void executeConjunctiveSeq(const Query &q,
-                               const SearchRequest &policy,
-                               TopK &topk);
-    void executeDisjunctiveSeq(const Query &q,
-                               const SearchRequest &policy,
-                               TopK &topk);
+    void executeConjunctive(const SearchRequest &req, TopK &topk);
+    void executeDisjunctive(const SearchRequest &req, TopK &topk);
+    void executeConjunctiveSeq(const SearchRequest &req, TopK &topk);
+    void executeDisjunctiveSeq(const SearchRequest &req, TopK &topk);
 
     /** Shard touch helper: one touch per decoded posting region. */
     void

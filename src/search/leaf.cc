@@ -5,6 +5,13 @@
 
 namespace wsearch {
 
+namespace {
+
+/** Nominal per-thread stack; part of the Figure 4 accounting. */
+constexpr uint64_t kStackBytesPerThread = 64 * KiB;
+
+} // namespace
+
 LeafServer::LeafServer(const IndexShard &shard, const Config &cfg,
                        TouchSink *sink)
     : shard_(&shard), cfg_(cfg)
@@ -104,7 +111,7 @@ LeafServer::footprint() const
     FootprintStats f;
     f.codeBytes = cfg_.codeBytes;
     f.stackBytes = static_cast<uint64_t>(cfg_.numThreads) *
-        cfg_.stackBytesPerThread;
+        kStackBytesPerThread;
     // Shared heap: document metadata and the term dictionary. The
     // shard itself is NOT heap (the paper accounts it separately).
     uint64_t docs = 0;

@@ -101,8 +101,6 @@ class SkipTableBuilder
 
     bool blockFull() const { return blockCount_ == kPostingBlockSize; }
     uint32_t blockCount() const { return blockCount_; }
-    DocId blockLastDoc() const { return lastDoc_; }
-    uint32_t blockMaxTf() const { return maxTf_; }
 
     /** Close the current block, whose bytes end at @p end_byte. */
     void
@@ -367,11 +365,9 @@ class PostingCursor
             current_ = Posting{};
             return;
         }
-        const PackedBlockHeader h = readPackedBlockHeader(p_);
+        const PackedBlockHeader h = readPackedBlockHeader(p_, end_);
         wsearch_assert(h.count <= remaining_);
-        BlockCodec::get(PostingCodec::kPacked)
-            .decodeBlock(p_, p_ + h.blockBytes, h.base, h.count, 0,
-                         docs_, tfs_);
+        decodePackedBlock(p_, h, docs_, tfs_);
         p_ += h.blockBytes;
         remaining_ -= h.count;
         blockLen_ = h.count;

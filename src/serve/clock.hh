@@ -132,7 +132,7 @@ realClock()
 
 /**
  * Manually-advanced virtual clock for deterministic schedule tests.
- * now() only moves via advanceTo()/advanceBy(); threads blocked in
+ * now() only moves via advanceTo(); threads blocked in
  * sleepUntil() wake when virtual time reaches their deadline (or on
  * release()). waitUntil() evaluates its deadline against virtual time
  * but still wakes on cv notifications, so completions propagate
@@ -203,8 +203,6 @@ class SimClock : public Clock
         }
         cv_.notify_all();
     }
-
-    void advanceBy(uint64_t delta_ns) { advanceTo(now() + delta_ns); }
 
     /** Unblock all current and future sleepUntil() calls (teardown). */
     void

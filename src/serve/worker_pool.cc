@@ -219,11 +219,6 @@ LeafWorkerPool::workerMain(uint32_t worker_id)
 {
     WorkerSlot &slot = *slots_[worker_id];
     Clock &clk = clock();
-    // Interference schedule: worker-local since the rework (every
-    // worker pauses on every Nth of ITS OWN executions rather than
-    // the pool pausing on every Nth global execution -- same pause
-    // rate, no shared tick counter on the hot path).
-    uint64_t interference_tick = 0;
     ServeRequest req;
     while (queue_.pop(req)) {
         uint64_t start = clk.now();
@@ -276,13 +271,6 @@ LeafWorkerPool::workerMain(uint32_t worker_id)
             dropRequest(slot, req, ServeOutcome::Failed,
                         slot.faultFailed);
             continue;
-        }
-
-        if (cfg_.interferenceEveryN != 0 &&
-            cfg_.interferencePauseNs != 0 &&
-            interference_tick++ % cfg_.interferenceEveryN ==
-                cfg_.interferenceEveryN - 1) {
-            clk.sleepUntil(start + cfg_.interferencePauseNs);
         }
 
         SearchResponse resp = leaf_.serve(worker_id, req.request);

@@ -122,16 +122,6 @@ class LeafWorkerPool
          * to miss).
          */
         size_t cacheStripes = 0;
-        /**
-         * Background-interference model ("The Tail at Scale"): every
-         * interferenceEveryN-th execution on this pool stalls for
-         * interferencePauseNs before serving -- a sleep, not busy
-         * work, the way an antagonist co-runner or a GC pause stalls
-         * a real replica. Either field 0 disables. This is what gives
-         * a hedged cluster stragglers that a backup replica can beat.
-         */
-        uint32_t interferenceEveryN = 0;
-        uint64_t interferencePauseNs = 0;
         /** Leaf configuration; numThreads is overridden to
          *  numWorkers so each worker owns executor tid == worker id,
          *  and the leaf clock is overridden to this pool's clock. */

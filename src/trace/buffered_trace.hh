@@ -55,7 +55,6 @@ class BufferedTrace
     uint64_t size() const { return size_; }
 
     size_t numChunks() const { return chunks_.size(); }
-    size_t chunkRecords() const { return chunkRecords_; }
 
     /** The @p i-th chunk as a contiguous span. */
     Span
@@ -92,7 +91,7 @@ class BufferedTrace
     }
 
     /**
-     * TraceSource adapter replaying the buffer once (reset() rewinds).
+     * TraceSource adapter replaying the buffer once.
      * Holds a shared_ptr so the buffer outlives any live cursor.
      */
     class Cursor : public TraceSource
@@ -104,7 +103,6 @@ class BufferedTrace
         }
 
         size_t fill(TraceRecord *buf, size_t max) override;
-        void reset() override { pos_ = 0; }
 
       private:
         std::shared_ptr<const BufferedTrace> trace_;

@@ -72,9 +72,6 @@ class TraceSource
      *         exhausted (infinite sources never return 0).
      */
     virtual size_t fill(TraceRecord *buf, size_t max) = 0;
-
-    /** Restart the source from the beginning (optional). */
-    virtual void reset() {}
 };
 
 } // namespace wsearch

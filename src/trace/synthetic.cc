@@ -25,13 +25,6 @@ SyntheticSearchTrace::SyntheticSearchTrace(const WorkloadProfile &profile,
         shardScramble_ = std::make_unique<DomainScrambler>(
             runs, seed_ ^ 0x54a3dull);
     }
-    reset();
-}
-
-void
-SyntheticSearchTrace::reset()
-{
-    threads_.clear();
     threads_.resize(numThreads_);
     for (uint32_t t = 0; t < numThreads_; ++t) {
         uint64_t sm = seed_ + t * 0x1009ull;
@@ -41,9 +34,7 @@ SyntheticSearchTrace::reset()
         threads_[t].code = std::make_unique<CodeModel>(
             prof_.code, vaddr::kCodeBase, seed_, tseed);
         threads_[t].rng = Rng(tseed ^ 0xda7aull);
-        threads_[t].shardRunLeft = 0;
     }
-    rr_ = 0;
 }
 
 uint64_t

@@ -40,7 +40,6 @@ class SyntheticSearchTrace : public TraceSource
                          uint32_t num_threads, uint64_t seed = 0);
 
     size_t fill(TraceRecord *buf, size_t max) override;
-    void reset() override;
 
     uint32_t numThreads() const { return numThreads_; }
     const WorkloadProfile &profile() const { return prof_; }

@@ -152,13 +152,4 @@ TraceFileReader::fill(TraceRecord *buf, size_t max)
     return valid;
 }
 
-void
-TraceFileReader::reset()
-{
-    if (!file_)
-        return;
-    std::fseek(file_, sizeof(TraceFileHeader), SEEK_SET);
-    position_ = 0;
-}
-
 } // namespace wsearch

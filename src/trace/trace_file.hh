@@ -75,7 +75,6 @@ class TraceFileReader : public TraceSource
     uint32_t numThreads() const { return header_.numThreads; }
 
     size_t fill(TraceRecord *buf, size_t max) override;
-    void reset() override;
 
   private:
     std::FILE *file_ = nullptr;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Error and status reporting helpers in the spirit of gem5's logging.hh:
+ * Error reporting helpers in the spirit of gem5's logging.hh:
  * panic() for internal invariant violations, fatal() for user errors,
- * warn()/inform() for status messages.
+ * assert() for checked invariants.
  */
 
 #ifndef WSEARCH_UTIL_LOGGING_HH
@@ -35,24 +35,10 @@ fatalImpl(const char *file, int line, const char *msg)
     std::exit(1);
 }
 
-inline void
-warnImpl(const char *msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg);
-}
-
-inline void
-informImpl(const char *msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg);
-}
-
 } // namespace wsearch
 
 #define wsearch_panic(msg) ::wsearch::panicImpl(__FILE__, __LINE__, msg)
 #define wsearch_fatal(msg) ::wsearch::fatalImpl(__FILE__, __LINE__, msg)
-#define wsearch_warn(msg) ::wsearch::warnImpl(msg)
-#define wsearch_inform(msg) ::wsearch::informImpl(msg)
 
 /** Assert an invariant that indicates a library bug when violated. */
 #define wsearch_assert(cond)                                               \

@@ -32,7 +32,6 @@ class ZipfSampler
     /** Draw one rank in [0, n) using @p rng. */
     uint64_t sample(Rng &rng) const;
 
-    uint64_t numItems() const { return n_; }
     double theta() const { return theta_; }
 
   private:

@@ -29,11 +29,23 @@ smallCache(ReplPolicy repl, uint64_t size = 4 * KiB, uint32_t ways = 4)
     return c;
 }
 
+/// Demand access through the plain call shape or the
+/// prefetch-tracking one (the hierarchy's L1D and L2 path); @p evicted
+/// receives the victim block. @return true on hit.
+bool
+demand(SetAssocCache &c, uint64_t addr, bool track_pf,
+       uint64_t *evicted = nullptr)
+{
+    bool was_pf = false;
+    return c.access(addr, false, evicted, nullptr,
+                    track_pf ? &was_pf : nullptr);
+}
+
 uint64_t
-evictOf(SetAssocCache &c, uint64_t addr)
+evictOf(SetAssocCache &c, uint64_t addr, bool track_pf = false)
 {
     uint64_t evicted = kNoBlock;
-    c.access(addr, false, &evicted);
+    demand(c, addr, track_pf, &evicted);
     return evicted;
 }
 
@@ -54,18 +66,23 @@ TEST(ReplGolden, SrripEvictionOrder)
 {
     // SRRIP inserts at RRPV=kRrpvMax-1=2, promotes to 0 on hit, and
     // evicts the first way at RRPV=3 (aging the set when none is).
-    SetAssocCache c(smallCache(ReplPolicy::SRRIP));
-    const uint64_t A = 0, B = kStride, C = 2 * kStride, D = 3 * kStride;
-    for (uint64_t a : {A, B, C, D})
-        c.access(a, false);
-    ASSERT_TRUE(c.access(A, false)); // A -> RRPV 0
-    // Aging: A 0->1, B/C/D 2->3; first distant way is B.
-    EXPECT_EQ(evictOf(c, 4 * kStride), B);
-    EXPECT_EQ(evictOf(c, 5 * kStride), C); // C,D already at 3
-    EXPECT_EQ(evictOf(c, 6 * kStride), D);
-    // Remaining: A@1, then the three fresh inserts @2; aging twice
-    // brings the insert in B's old way (lowest index) to 3 first.
-    EXPECT_EQ(evictOf(c, 7 * kStride), 4 * kStride);
+    // Both demand call shapes must promote on hit.
+    for (const bool track_pf : {false, true}) {
+        SCOPED_TRACE(track_pf ? "prefetch-tracking demand" : "demand");
+        SetAssocCache c(smallCache(ReplPolicy::SRRIP));
+        const uint64_t A = 0, B = kStride, C = 2 * kStride,
+                       D = 3 * kStride;
+        for (uint64_t a : {A, B, C, D})
+            demand(c, a, track_pf);
+        ASSERT_TRUE(demand(c, A, track_pf)); // A -> RRPV 0
+        // Aging: A 0->1, B/C/D 2->3; first distant way is B.
+        EXPECT_EQ(evictOf(c, 4 * kStride, track_pf), B);
+        EXPECT_EQ(evictOf(c, 5 * kStride, track_pf), C); // C,D at 3
+        EXPECT_EQ(evictOf(c, 6 * kStride, track_pf), D);
+        // Remaining: A@1, then the three fresh inserts @2; aging twice
+        // brings the insert in B's old way (lowest index) to 3 first.
+        EXPECT_EQ(evictOf(c, 7 * kStride, track_pf), 4 * kStride);
+    }
 }
 
 TEST(ReplGolden, DrripNeutralStartFollowsBrrip)

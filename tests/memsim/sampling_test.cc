@@ -99,8 +99,6 @@ class PhaseTrace : public TraceSource
         return n;
     }
 
-    void reset() override { pos_ = 0; }
-
   private:
     TraceRecord
     make(uint64_t pos) const
@@ -557,7 +555,7 @@ TEST(SamplingPlans, WorkloadSweepCarriesBandThroughSystemResult)
 // ---------------------------------------------------------------------
 // Tentpole claim 4: two-pass replay regression. The signature pass
 // must leave the buffer bit-identical, replay must not care that a
-// signature pass ran first, cursor rewinds must be deterministic, and
+// signature pass ran first, every cursor must replay the same bytes, and
 // signatures must be invariant to chunk granularity (including
 // windows straddling chunk edges).
 
@@ -601,20 +599,20 @@ TEST(TwoPassReplay, CursorRewindIsDeterministic)
     std::vector<TraceRecord> first(4'096);
     std::vector<TraceRecord> second(4'096);
     ASSERT_EQ(cursor.fill(first.data(), first.size()), first.size());
-    // Drain a bit more so the rewind starts mid-stream.
+    // Drain a bit more so the first cursor is left mid-stream.
     ASSERT_EQ(cursor.fill(second.data(), 1'000), 1'000u);
-    cursor.reset();
-    ASSERT_EQ(cursor.fill(second.data(), second.size()),
+    BufferedTrace::Cursor restart(trace);
+    ASSERT_EQ(restart.fill(second.data(), second.size()),
               second.size());
     EXPECT_EQ(std::memcmp(first.data(), second.data(),
                           first.size() * sizeof(TraceRecord)),
               0);
 
-    // A trace re-materialized through a rewound cursor is the same
+    // A trace re-materialized through a fresh cursor is the same
     // trace: the signature pass and the simulate pass see identical
     // records even when they consume through separate cursors.
-    cursor.reset();
-    const auto again = BufferedTrace::materialize(cursor, kTotal);
+    BufferedTrace::Cursor replay(trace);
+    const auto again = BufferedTrace::materialize(replay, kTotal);
     ASSERT_EQ(again->size(), trace->size());
     EXPECT_EQ(bufferBytes(*again), bufferBytes(*trace));
 }

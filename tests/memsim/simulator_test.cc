@@ -23,8 +23,6 @@ class VectorSource : public TraceSource
         return n;
     }
 
-    void reset() override { pos_ = 0; }
-
   private:
     std::vector<TraceRecord> recs_;
     size_t pos_ = 0;

@@ -285,6 +285,53 @@ TEST(Codec, SequentialCursorSeeksPackedStream)
     EXPECT_FALSE(c.valid());
 }
 
+/** Walk @p l to its end through the skip-driven block cursor. */
+void
+walkBlockCursor(const CodecList &l)
+{
+    BlockPostingCursor c;
+    c.reset(l.view, 0);
+    while (c.valid())
+        c.next();
+}
+
+/** Walk @p l to its end through the sequential (header-driven)
+ *  cursor. */
+void
+walkSequentialCursor(const CodecList &l)
+{
+    PostingCursor c(l.bytes.data(), l.bytes.data() + l.bytes.size(),
+                    l.view.count, 0, PostingCodec::kPacked);
+    while (c.valid())
+        c.next();
+}
+
+/** A 300-posting packed list; the second block's header starts at
+ *  skips[0].endByte (u32 base, u16 count, u8 gapBits, u8 tfBits). */
+CodecList
+packedList()
+{
+    return CodecList(makePostings(300, 0xbadb10cull),
+                     PostingCodec::kPacked);
+}
+
+TEST(CodecDeathTest, PackedGapBitsAbove32Panics)
+{
+    CodecList l = packedList();
+    l.bytes[l.skips[0].endByte + 6] = 33;
+    EXPECT_DEATH(walkBlockCursor(l), "corrupt packed block");
+    EXPECT_DEATH(walkSequentialCursor(l), "corrupt packed block");
+}
+
+TEST(CodecDeathTest, PackedCountAbove128Panics)
+{
+    CodecList l = packedList();
+    l.bytes[l.skips[0].endByte + 4] = 129; // u16 count = 129
+    l.bytes[l.skips[0].endByte + 5] = 0;
+    EXPECT_DEATH(walkBlockCursor(l), "corrupt packed block");
+    EXPECT_DEATH(walkSequentialCursor(l), "corrupt packed block");
+}
+
 MaterializedIndex
 makeIndex(uint64_t seed, PostingCodec codec)
 {

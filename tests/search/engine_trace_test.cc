@@ -89,17 +89,6 @@ TEST(EngineTrace, Deterministic)
     }
 }
 
-TEST(EngineTrace, ResetRestarts)
-{
-    ProceduralIndex shard(smallShard());
-    EngineTraceSource src(shard, smallTraceConfig());
-    const auto first = collect(src, 20000);
-    src.reset();
-    const auto again = collect(src, 20000);
-    for (size_t i = 0; i < first.size(); ++i)
-        ASSERT_EQ(first[i].addr, again[i].addr);
-}
-
 TEST(EngineTrace, CacheTierAbsorbsPopularQueries)
 {
     ProceduralIndex shard(smallShard());

@@ -32,8 +32,6 @@ class CountingSource : public TraceSource
         return n;
     }
 
-    void reset() override { pos_ = 0; }
-
   private:
     uint64_t total_;
     size_t maxFill_;
@@ -85,7 +83,7 @@ TEST(BufferedTrace, SpanAtClipsToChunkEdgeAndLength)
     EXPECT_EQ(trace->spanAt(99'999, 10).count, 0u);
 }
 
-TEST(BufferedTrace, CursorReplaysBitIdenticallyAndRewinds)
+TEST(BufferedTrace, CursorReplaysBitIdentically)
 {
     const WorkloadProfile prof = WorkloadProfile::s1Leaf();
     SyntheticSearchTrace gen(prof, 4);
@@ -101,31 +99,27 @@ TEST(BufferedTrace, CursorReplaysBitIdenticallyAndRewinds)
                              expect.size() - filled);
 
     BufferedTrace::Cursor cur(trace);
-    for (int pass = 0; pass < 2; ++pass) {
-        std::vector<TraceRecord> got(expect.size());
-        size_t filled = 0;
-        // Odd fill size to exercise span-copy stitching.
-        while (filled < got.size()) {
-            const size_t n = cur.fill(
-                got.data() + filled,
-                std::min<size_t>(777, got.size() - filled));
-            if (n == 0)
-                break;
-            filled += n;
-        }
-        ASSERT_EQ(filled, expect.size());
-        for (size_t i = 0; i < expect.size(); ++i) {
-            ASSERT_EQ(got[i].pc, expect[i].pc) << "record " << i;
-            ASSERT_EQ(got[i].addr, expect[i].addr) << "record " << i;
-            ASSERT_EQ(got[i].tid, expect[i].tid) << "record " << i;
-            ASSERT_EQ(got[i].op, expect[i].op) << "record " << i;
-            ASSERT_EQ(got[i].kind, expect[i].kind) << "record " << i;
-            ASSERT_EQ(got[i].branch, expect[i].branch)
-                << "record " << i;
-        }
-        EXPECT_EQ(cur.fill(got.data(), 1), 0u); // exhausted
-        cur.reset();
+    std::vector<TraceRecord> got(expect.size());
+    size_t filled = 0;
+    // Odd fill size to exercise span-copy stitching.
+    while (filled < got.size()) {
+        const size_t n =
+            cur.fill(got.data() + filled,
+                     std::min<size_t>(777, got.size() - filled));
+        if (n == 0)
+            break;
+        filled += n;
     }
+    ASSERT_EQ(filled, expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+        ASSERT_EQ(got[i].pc, expect[i].pc) << "record " << i;
+        ASSERT_EQ(got[i].addr, expect[i].addr) << "record " << i;
+        ASSERT_EQ(got[i].tid, expect[i].tid) << "record " << i;
+        ASSERT_EQ(got[i].op, expect[i].op) << "record " << i;
+        ASSERT_EQ(got[i].kind, expect[i].kind) << "record " << i;
+        ASSERT_EQ(got[i].branch, expect[i].branch) << "record " << i;
+    }
+    EXPECT_EQ(cur.fill(got.data(), 1), 0u); // exhausted
 }
 
 } // namespace

@@ -68,16 +68,6 @@ TEST(Synthetic, Deterministic)
     }
 }
 
-TEST(Synthetic, ResetRestartsStream)
-{
-    SyntheticSearchTrace src(tinyProfile(), 2);
-    const auto first = collect(src, 5000);
-    src.reset();
-    const auto again = collect(src, 5000);
-    for (size_t i = 0; i < first.size(); ++i)
-        ASSERT_EQ(first[i].addr, again[i].addr);
-}
-
 TEST(Synthetic, RoundRobinThreads)
 {
     SyntheticSearchTrace src(tinyProfile(), 4);
