@@ -51,13 +51,10 @@ runFig5()
             engine_vaddr::kScratchStride * threads, 64);
         WorkingSetTracker shard_ws(vaddr::kShardBase,
                                    shard.shardBytes() + (1 << 20), 64);
-        std::vector<TraceRecord> buf(8192);
-        uint64_t total = records_per_thread * threads;
-        while (total > 0) {
-            const size_t got = src.fill(
-                buf.data(), std::min<uint64_t>(buf.size(), total));
-            for (size_t i = 0; i < got; ++i) {
-                const TraceRecord &r = buf[i];
+        forEachBatch(src, records_per_thread * threads,
+                     [&](const TraceRecord *recs, size_t n) {
+            for (size_t i = 0; i < n; ++i) {
+                const TraceRecord &r = recs[i];
                 if (!r.hasData())
                     continue;
                 if (r.kind == AccessKind::Heap) {
@@ -68,8 +65,7 @@ runFig5()
                     shard_ws.touch(r.addr);
                 }
             }
-            total -= got;
-        }
+        });
         const uint64_t heap_bytes = meta_ws.workingSetBytes() +
             lex_ws.workingSetBytes() + scratch_ws.workingSetBytes();
         if (heap1 == 0) {

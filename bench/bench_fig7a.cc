@@ -84,16 +84,12 @@ runFig7a(const bench::Args &args)
     // the L1-D reference stream.
     SyntheticSearchTrace trace(prof, 1);
     MissClassifier mc({32 * KiB, 64, 8});
-    TraceRecord buf[4096];
-    uint64_t n = traceBudget(2'000'000);
-    while (n > 0) {
-        const size_t got =
-            trace.fill(buf, std::min<uint64_t>(4096, n));
-        for (size_t i = 0; i < got; ++i)
-            if (buf[i].hasData())
-                mc.access(buf[i].addr, buf[i].kind);
-        n -= got;
-    }
+    forEachBatch(trace, traceBudget(2'000'000),
+                 [&mc](const TraceRecord *recs, size_t n) {
+                     for (size_t i = 0; i < n; ++i)
+                         if (recs[i].hasData())
+                             mc.access(recs[i].addr, recs[i].kind);
+                 });
     const MissBreakdown &b = mc.breakdown();
     const double total = static_cast<double>(
         b.totalCold() + b.totalCapacity() + b.totalConflict());

@@ -18,7 +18,9 @@
  * Every exact run is compared counter-for-counter against the
  * serial-classic oracle; any mismatch makes the binary exit nonzero,
  * so CI can use it as the determinism gate. Wall-clock timings and
- * speedups land in BENCH_sweep.json for EXPERIMENTS.md.
+ * speedups land in BENCH_sweep.json in the working directory; the
+ * copy EXPERIMENTS.md quotes is bench/recorded/BENCH_sweep.json,
+ * which no driver writes.
  */
 
 #include <cmath>

@@ -1,7 +1,5 @@
 #include "cpu/system.hh"
 
-#include <algorithm>
-
 namespace wsearch {
 
 namespace {
@@ -76,40 +74,20 @@ SystemSimulator::step(const TraceRecord &r, bool tlb)
 }
 
 void
-SystemSimulator::pump(TraceSource &src, uint64_t count)
+SystemSimulator::stepSpan(const TraceRecord *rec, size_t n)
 {
-    constexpr size_t kBatch = 8192;
-    TraceRecord buf[kBatch];
-    uint64_t done = 0;
     const bool tlb = cfg_.modelTlb;
-    while (done < count) {
-        const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(kBatch, count - done));
-        const size_t got = src.fill(buf, want);
-        if (got == 0)
-            break;
-        for (size_t i = 0; i < got; ++i)
-            step(buf[i], tlb);
-        done += got;
-    }
+    for (size_t i = 0; i < n; ++i)
+        step(rec[i], tlb);
 }
 
 uint64_t
 SystemSimulator::pumpRange(const BufferedTrace &trace, uint64_t begin,
                            uint64_t count)
 {
-    const bool tlb = cfg_.modelTlb;
-    uint64_t done = 0;
-    while (done < count) {
-        const BufferedTrace::Span s =
-            trace.spanAt(begin + done, count - done);
-        if (s.count == 0)
-            break;
-        for (size_t i = 0; i < s.count; ++i)
-            step(s.data[i], tlb);
-        done += s.count;
-    }
-    return done;
+    return trace.forEachSpan(
+        begin, count,
+        [this](const TraceRecord *rec, size_t n) { stepSpan(rec, n); });
 }
 
 SystemResult
@@ -155,9 +133,12 @@ SystemSimulator::finalizeDerived(SystemResult &res) const
 SystemResult
 SystemSimulator::run(TraceSource &src, uint64_t warmup, uint64_t measure)
 {
-    pump(src, warmup);
+    const auto steps = [this](const TraceRecord *rec, size_t n) {
+        stepSpan(rec, n);
+    };
+    forEachBatch(src, warmup, steps);
     resetStats();
-    pump(src, measure);
+    forEachBatch(src, measure, steps);
     SystemResult res = harvest();
     finalizeDerived(res);
     return res;

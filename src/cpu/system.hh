@@ -202,7 +202,7 @@ class SystemSimulator
 
   private:
     void step(const TraceRecord &r, bool tlb);
-    void pump(TraceSource &src, uint64_t count);
+    void stepSpan(const TraceRecord *rec, size_t n);
     uint64_t pumpRange(const BufferedTrace &trace, uint64_t begin,
                        uint64_t count);
     void resetStats();

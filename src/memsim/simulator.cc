@@ -1,42 +1,10 @@
 #include "memsim/simulator.hh"
 
-#include <algorithm>
-
 namespace wsearch {
 
 namespace {
 
-constexpr size_t kBatch = 8192;
-
-/** Process @p count records; returns how many were actually consumed. */
-uint64_t
-pump(TraceSource &src, CacheHierarchy &hier, uint64_t count)
-{
-    TraceRecord buf[kBatch];
-    uint64_t done = 0;
-    while (done < count) {
-        const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(kBatch, count - done));
-        const size_t got = src.fill(buf, want);
-        if (got == 0)
-            break;
-        pumpSpan(hier, buf, got);
-        done += got;
-    }
-    return done;
-}
-
-} // namespace
-
-SimResult
-runTrace(TraceSource &src, CacheHierarchy &hier, uint64_t warmup,
-         uint64_t measure)
-{
-    pump(src, hier, warmup);
-    hier.resetStats();
-    return harvestCounters(hier, pump(src, hier, measure));
-}
-
+/** Replay one contiguous record span through @p hier. */
 void
 pumpSpan(CacheHierarchy &hier, const TraceRecord *rec, size_t n)
 {
@@ -49,20 +17,28 @@ pumpSpan(CacheHierarchy &hier, const TraceRecord *rec, size_t n)
     }
 }
 
+} // namespace
+
+SimResult
+runTrace(TraceSource &src, CacheHierarchy &hier, uint64_t warmup,
+         uint64_t measure)
+{
+    const auto pump = [&hier](const TraceRecord *rec, size_t n) {
+        pumpSpan(hier, rec, n);
+    };
+    forEachBatch(src, warmup, pump);
+    hier.resetStats();
+    return harvestCounters(hier, forEachBatch(src, measure, pump));
+}
+
 uint64_t
 pumpRange(const BufferedTrace &trace, CacheHierarchy &hier,
           uint64_t begin, uint64_t count)
 {
-    uint64_t done = 0;
-    while (done < count) {
-        const BufferedTrace::Span s =
-            trace.spanAt(begin + done, count - done);
-        if (s.count == 0)
-            break;
-        pumpSpan(hier, s.data, s.count);
-        done += s.count;
-    }
-    return done;
+    return trace.forEachSpan(
+        begin, count, [&hier](const TraceRecord *rec, size_t n) {
+            pumpSpan(hier, rec, n);
+        });
 }
 
 SimResult

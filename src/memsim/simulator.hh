@@ -158,14 +158,8 @@ SimResult runTrace(const BufferedTrace &trace, CacheHierarchy &hier,
                    uint64_t warmup, uint64_t measure);
 
 /**
- * Replay one contiguous record span through @p hier. The sweep
- * engine's inner loop; exposed so system-level simulators can share
- * the chunk-walking pattern.
- */
-void pumpSpan(CacheHierarchy &hier, const TraceRecord *rec, size_t n);
-
-/**
- * Replay records [@p begin, @p begin + @p count) of @p trace.
+ * Replay records [@p begin, @p begin + @p count) of @p trace through
+ * @p hier; the sweep engine's inner loop.
  * @return records actually replayed (less when the buffer ends).
  */
 uint64_t pumpRange(const BufferedTrace &trace, CacheHierarchy &hier,

@@ -11,6 +11,18 @@
 
 namespace wsearch {
 
+namespace {
+
+/**
+ * Relative floor on the confidence-band half-width. The analytic band
+ * captures signature-predicted dispersion but not the warmup bias of
+ * skipped state; the floor keeps the band honest when clusters are
+ * internally homogeneous.
+ */
+constexpr double kBandRelFloor = 0.03;
+
+} // namespace
+
 const char *
 samplingPolicyName(SamplingPolicy p)
 {
@@ -89,7 +101,6 @@ buildUniformPlan(uint64_t total_records,
     plan.policy = SamplingPolicy::kUniform;
     plan.windowRecords = rep.windowRecords;
     plan.warmupRecords = rep.warmupRecords;
-    plan.bandRelFloor = rep.bandRelFloor;
     if (!rep.enabled() || total_records == 0)
         return plan;
     const uint64_t total_windows =
@@ -119,7 +130,6 @@ buildClusteredPlan(const BufferedTrace &trace, uint64_t total_records,
     plan.policy = SamplingPolicy::kClustered;
     plan.windowRecords = rep.windowRecords;
     plan.warmupRecords = rep.warmupRecords;
-    plan.bandRelFloor = rep.bandRelFloor;
     if (!rep.enabled())
         return plan;
     total_records = std::min(total_records, trace.size());
@@ -255,7 +265,7 @@ planVariance(const SamplingPlan &plan,
 
     // Relative floor: the analytic models see signature-predicted
     // dispersion but not warmup bias from skipped state.
-    const double floor_hw = plan.bandRelFloor * estimate_total;
+    const double floor_hw = kBandRelFloor * estimate_total;
     const double floor_var = (floor_hw / 1.96) * (floor_hw / 1.96);
     return std::max(var, floor_var);
 }

@@ -75,13 +75,6 @@ struct RepresentativeSampling
      *  built-in), so CI runs are reproducible by default and
      *  re-rollable by env. */
     uint64_t seed = 0;
-    /**
-     * Relative floor on the confidence-band half-width. The analytic
-     * band captures signature-predicted dispersion but not the warmup
-     * bias of skipped state; the floor keeps the band honest when
-     * clusters are internally homogeneous.
-     */
-    double bandRelFloor = 0.03;
 
     bool
     enabled() const
@@ -124,7 +117,6 @@ struct SamplingPlan
     uint64_t windowRecords = 0;
     uint64_t warmupRecords = 0;
     uint64_t totalWindows = 0; ///< windows represented (== sum of weights)
-    double bandRelFloor = 0.03;
     std::vector<SampleWindow> windows; ///< sorted by begin
     /**
      * Per selected window: sum of squared distances of its cluster's

@@ -97,7 +97,6 @@ EngineTraceSource::emitRecord(TraceRecord &rec, uint32_t tid)
     rec.branch = fi.isBranch
         ? (fi.taken ? BranchKind::Taken : BranchKind::NotTaken)
         : BranchKind::NotBranch;
-    rec.target = fi.target;
     rec.op = MemOp::None;
     rec.addr = 0;
     rec.kind = AccessKind::Heap;

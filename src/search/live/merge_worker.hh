@@ -3,7 +3,7 @@
  * Background merge thread for one LiveIndex: wakes on a fixed period,
  * asks the index's merge policy whether compaction work is pending,
  * and runs merges to completion one at a time. The merge-crash fault
- * hook (FaultInjector::crashMerge, drawn per merge sequence number)
+ * hook (FaultPlan::crashMerge, drawn per merge sequence number)
  * abandons a merge partway through the build phase -- the live index
  * discards the partial output and the inputs stay untouched, so a
  * crashed merge costs wall-clock only, never correctness.
@@ -40,7 +40,7 @@ class MergeWorker
         /** Time source (null = real steady clock). */
         Clock *clock = nullptr;
         /** Fault decisions (null = benign). */
-        const FaultInjector *faults = nullptr;
+        const FaultPlan *faults = nullptr;
     };
 
     MergeWorker(LiveIndex &index, const Config &cfg);

@@ -91,7 +91,7 @@ struct ClusterConfig
     Clock *clock = nullptr;
     /** Fault injector fanned out to every replica pool (null = none;
      *  must outlive the cluster). */
-    const FaultInjector *faults = nullptr;
+    const FaultPlan *faults = nullptr;
 };
 
 /** Outcome of one scatter-gather query. */
@@ -227,7 +227,7 @@ class ClusterServer
      * replica draining (the scatter path stops picking it), drain its
      * in-flight work, hand the snapshot over (checksum-validated by
      * the leaf; a corrupted delivery -- injectable via
-     * FaultInjector::corruptHandoff -- is rejected, counted, and
+     * FaultPlan::corruptHandoff -- is rejected, counted, and
      * resent clean), then re-admit. Serialized per shard. With R == 1
      * the lone replica is briefly unpickable; queries during that
      * window see the shard unavailable rather than a torn index.

@@ -7,8 +7,7 @@
  * beyond any deadline), instant execution failures, silently dropped
  * completions, corrupted/truncated leaf responses, and crashed
  * replicas (refuse everything between crashAtNs and recoverAtNs).
- * The plan is consumed through the FaultInjector interface at exactly
- * two boundaries:
+ * LeafWorkerPool consults the plan at exactly two boundaries:
  *
  *  - admission (LeafWorkerPool::submit*): a crashed replica refuses
  *    the request instantly, the way a dead TCP endpoint does;
@@ -24,7 +23,8 @@
  * functions of the clock, which tests pin with SimClock.
  *
  * Configure specs before traffic starts; the decision path is const
- * and thread-safe.
+ * and thread-safe. The plan is header-only so the live index's merge
+ * worker, which sits below the serving library, can consult it too.
  */
 
 #ifndef WSEARCH_SERVE_FAULT_HH
@@ -32,6 +32,8 @@
 
 #include <cstdint>
 #include <unordered_map>
+
+#include "util/rng.hh"
 
 namespace wsearch {
 
@@ -48,58 +50,6 @@ struct FaultDecision
     bool dropReply = false;
     /** Reply payload is truncated/perturbed after execution. */
     bool corrupt = false;
-};
-
-/** Decision source consumed by LeafWorkerPool (and thus the cluster). */
-class FaultInjector
-{
-  public:
-    virtual ~FaultInjector() = default;
-
-    /**
-     * Admission-time check (connection establishment): false means
-     * the replica is crashed and refuses @p query_id instantly.
-     */
-    virtual bool admit(uint32_t shard, uint32_t replica,
-                       uint64_t query_id, uint64_t now_ns) const = 0;
-
-    /** Execution-time decision, consulted by a worker after pop. */
-    virtual FaultDecision onExecute(uint32_t shard, uint32_t replica,
-                                    uint64_t query_id,
-                                    uint64_t now_ns) const = 0;
-
-    /**
-     * Should merge number @p merge_seq on @p shard crash mid-build?
-     * Consulted by MergeWorker before running a merge; true abandons
-     * it partway (the live index discards the partial output).
-     * Default-benign so existing injectors are unaffected.
-     */
-    virtual bool
-    crashMerge(uint32_t shard, uint64_t merge_seq,
-               uint64_t now_ns) const
-    {
-        (void)shard;
-        (void)merge_seq;
-        (void)now_ns;
-        return false;
-    }
-
-    /**
-     * Should the handoff of snapshot @p version to (shard, replica)
-     * arrive corrupted? Consulted by the rollout path; true makes the
-     * replica receive a torn copy, which adoption-time validation
-     * must reject. Default-benign.
-     */
-    virtual bool
-    corruptHandoff(uint32_t shard, uint32_t replica, uint64_t version,
-                   uint64_t now_ns) const
-    {
-        (void)shard;
-        (void)replica;
-        (void)version;
-        (void)now_ns;
-        return false;
-    }
 };
 
 /** Per-replica fault probabilities and windows (all default benign). */
@@ -152,7 +102,7 @@ struct FaultSpec
  * Seeded, per-replica fault plan. Replica-specific specs override the
  * default spec.
  */
-class FaultPlan : public FaultInjector
+class FaultPlan
 {
   public:
     explicit FaultPlan(uint64_t seed = 0x5eedfa17ull) : seed_(seed) {}
@@ -168,32 +118,130 @@ class FaultPlan : public FaultInjector
         return overrides_[key(shard, replica)];
     }
 
-    bool admit(uint32_t shard, uint32_t replica, uint64_t query_id,
-               uint64_t now_ns) const override;
+    /**
+     * Admission-time check (connection establishment): false means
+     * the replica is crashed and refuses the request instantly.
+     */
+    bool
+    admit(uint32_t shard, uint32_t replica, uint64_t /*query_id*/,
+          uint64_t now_ns) const
+    {
+        return !specFor(shard, replica).crashed(now_ns);
+    }
 
-    FaultDecision onExecute(uint32_t shard, uint32_t replica,
-                            uint64_t query_id,
-                            uint64_t now_ns) const override;
+    /** Execution-time decision, consulted by a worker after pop. */
+    FaultDecision
+    onExecute(uint32_t shard, uint32_t replica, uint64_t query_id,
+              uint64_t now_ns) const
+    {
+        const FaultSpec &spec = specFor(shard, replica);
+        FaultDecision d;
+        // A request already queued when the replica crashed still
+        // fails: a dead process executes nothing.
+        if (spec.crashed(now_ns) ||
+            hit(spec.failProb, shard, replica, query_id, kSaltFail)) {
+            d.fail = true;
+            return d;
+        }
+        if (hit(spec.hangProb, shard, replica, query_id, kSaltHang)) {
+            d.delayNs = spec.hangNs;
+        } else if (hit(spec.delayProb, shard, replica, query_id,
+                       kSaltDelay)) {
+            const uint64_t span = spec.delayMaxNs > spec.delayMinNs
+                ? spec.delayMaxNs - spec.delayMinNs
+                : 0;
+            d.delayNs = spec.delayMinNs +
+                (span ? static_cast<uint64_t>(
+                            draw(shard, replica, query_id,
+                                 kSaltDelayMag) *
+                            static_cast<double>(span + 1))
+                      : 0);
+        }
+        d.dropReply =
+            hit(spec.dropProb, shard, replica, query_id, kSaltDrop);
+        d.corrupt = hit(spec.corruptProb, shard, replica, query_id,
+                        kSaltCorrupt);
+        return d;
+    }
 
-    /** Shard-wide (replica 0's spec); drawn on the merge sequence. */
-    bool crashMerge(uint32_t shard, uint64_t merge_seq,
-                    uint64_t now_ns) const override;
+    /**
+     * Should merge number @p merge_seq on @p shard crash mid-build?
+     * Consulted by MergeWorker before running a merge; true abandons
+     * it partway (the live index discards the partial output).
+     * Shard-wide: replica 0's spec, drawn on the merge sequence.
+     */
+    bool
+    crashMerge(uint32_t shard, uint64_t merge_seq,
+               uint64_t /*now_ns*/) const
+    {
+        return hit(specFor(shard, 0).mergeCrashProb, shard, 0,
+                   merge_seq, kSaltMergeCrash);
+    }
 
-    /** Per-replica; drawn on the snapshot version. */
-    bool corruptHandoff(uint32_t shard, uint32_t replica,
-                        uint64_t version,
-                        uint64_t now_ns) const override;
+    /**
+     * Should the handoff of snapshot @p version to (shard, replica)
+     * arrive corrupted? Consulted by the rollout path; true makes the
+     * replica receive a torn copy, which adoption-time validation
+     * must reject. Drawn per (shard, replica, snapshot version).
+     */
+    bool
+    corruptHandoff(uint32_t shard, uint32_t replica, uint64_t version,
+                   uint64_t /*now_ns*/) const
+    {
+        return hit(specFor(shard, replica).handoffCorruptProb, shard,
+                   replica, version, kSaltHandoff);
+    }
 
     uint64_t seed() const { return seed_; }
 
   private:
+    static constexpr uint64_t kSaltDelay = 0xde1a;
+    static constexpr uint64_t kSaltDelayMag = 0xde1b;
+    static constexpr uint64_t kSaltHang = 0xa4a6;
+    static constexpr uint64_t kSaltFail = 0xfa11;
+    static constexpr uint64_t kSaltDrop = 0xd209;
+    static constexpr uint64_t kSaltCorrupt = 0xc099;
+    static constexpr uint64_t kSaltMergeCrash = 0x3e49;
+    static constexpr uint64_t kSaltHandoff = 0x4a0d;
+
     static uint64_t
     key(uint32_t shard, uint32_t replica)
     {
         return (static_cast<uint64_t>(shard) << 32) | replica;
     }
 
-    const FaultSpec &specFor(uint32_t shard, uint32_t replica) const;
+    const FaultSpec &
+    specFor(uint32_t shard, uint32_t replica) const
+    {
+        const auto it = overrides_.find(key(shard, replica));
+        return it != overrides_.end() ? it->second : default_;
+    }
+
+    /**
+     * Stateless uniform double in [0, 1) for one (plan, replica,
+     * query, fault-kind) tuple. Each fault kind mixes a distinct salt
+     * so the draws are independent of one another and of any
+     * evaluation order.
+     */
+    double
+    draw(uint32_t shard, uint32_t replica, uint64_t id,
+         uint64_t salt) const
+    {
+        uint64_t h = seed_;
+        h = mix64(h ^ (0x9e3779b97f4a7c15ull +
+                       (static_cast<uint64_t>(shard) << 32 | replica)));
+        h = mix64(h ^ id);
+        h = mix64(h ^ salt);
+        return static_cast<double>(h >> 11) * 0x1.0p-53;
+    }
+
+    /** True with probability @p prob (never drawn when 0). */
+    bool
+    hit(double prob, uint32_t shard, uint32_t replica, uint64_t id,
+        uint64_t salt) const
+    {
+        return prob > 0.0 && draw(shard, replica, id, salt) < prob;
+    }
 
     uint64_t seed_;
     FaultSpec default_;

@@ -137,7 +137,7 @@ class LeafWorkerPool
         Clock *clock = nullptr;
         /** Fault injector consulted at admission and execution (null
          *  = no faults; must outlive the pool). */
-        const FaultInjector *faults = nullptr;
+        const FaultPlan *faults = nullptr;
     };
 
     /** Admission verdict for one submit(). */

@@ -40,17 +40,12 @@ BufferedTrace::materialize(TraceSource &src, uint64_t records,
 size_t
 BufferedTrace::Cursor::fill(TraceRecord *buf, size_t max)
 {
-    size_t n = 0;
-    while (n < max) {
-        const BufferedTrace::Span s =
-            trace_->spanAt(pos_, max - n);
-        if (s.count == 0)
-            break;
-        std::copy(s.data, s.data + s.count, buf + n);
-        n += s.count;
-        pos_ += s.count;
-    }
-    return n;
+    const uint64_t n = trace_->forEachSpan(
+        pos_, max, [&buf](const TraceRecord *recs, size_t k) {
+            buf = std::copy(recs, recs + k, buf);
+        });
+    pos_ += n;
+    return static_cast<size_t>(n);
 }
 
 } // namespace wsearch

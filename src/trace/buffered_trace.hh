@@ -11,7 +11,7 @@
  * generation once instead of N times, and every worker replays the
  * same bit-identical record sequence from read-only memory.
  *
- * Memory cost is sizeof(TraceRecord) (32 bytes) per record; chunk
+ * Memory cost is sizeof(TraceRecord) (24 bytes) per record; chunk
  * granularity is tunable so tests can exercise chunk boundaries and
  * replay loops stay cache-friendly.
  */
@@ -32,7 +32,7 @@ namespace wsearch {
 class BufferedTrace
 {
   public:
-    /** Default records per chunk (64K records = 2 MiB per chunk). */
+    /** Default records per chunk (64K records = 1.5 MiB per chunk). */
     static constexpr size_t kDefaultChunkRecords = 1u << 16;
 
     /** A contiguous view into one chunk. */
@@ -80,6 +80,27 @@ class BufferedTrace
         const size_t n = static_cast<size_t>(
             in_chunk < max_len ? in_chunk : max_len);
         return {c.data() + off, n};
+    }
+
+    /**
+     * Walk records [@p begin, @p begin + @p count) as contiguous
+     * spans, calling @p fn(const TraceRecord *recs, size_t n) once per
+     * span (a span never crosses a chunk edge).
+     * @return records walked (less when the buffer ends first).
+     */
+    template <typename Fn>
+    uint64_t
+    forEachSpan(uint64_t begin, uint64_t count, Fn &&fn) const
+    {
+        uint64_t done = 0;
+        while (done < count) {
+            const Span s = spanAt(begin + done, count - done);
+            if (s.count == 0)
+                break;
+            fn(s.data, s.count);
+            done += s.count;
+        }
+        return done;
     }
 
     /** Record @p i (bounds-unchecked; tests only). */

@@ -72,14 +72,12 @@ CodeModel::emitBranch(FetchedInstr &out, bool must_end_fn)
         // Tail call / call to the next Zipf-selected function.
         callNewFunction();
         out.taken = true;
-        out.target = curPc_;
         return;
     }
     if (loopsLeft_ > 0) {
         // Loop back-edge: highly predictable taken branch.
         --loopsLeft_;
         out.taken = true;
-        out.target = regionStart_;
         curPc_ = regionStart_;
         remainingInRegion_ = regionLen_;
         return;
@@ -104,19 +102,17 @@ CodeModel::emitBranch(FetchedInstr &out, bool must_end_fn)
     }
     out.taken = taken;
     if (taken) {
-        // Short forward skip; the target is a static property of the
+        // Short forward skip; its length is a static property of the
         // branch.
         const uint64_t skip = cfg_.instrBytes *
             structDraw(out.pc, 6.0, 0x5017ull);
-        uint64_t target = curPc_ + cfg_.instrBytes + skip;
-        if (target + cfg_.instrBytes >= fnEnd_)
-            target = fnEnd_ - 2 * cfg_.instrBytes;
-        if (target <= curPc_)
-            target = curPc_ + cfg_.instrBytes;
-        out.target = target;
-        curPc_ = target;
+        uint64_t next_pc = curPc_ + cfg_.instrBytes + skip;
+        if (next_pc + cfg_.instrBytes >= fnEnd_)
+            next_pc = fnEnd_ - 2 * cfg_.instrBytes;
+        if (next_pc <= curPc_)
+            next_pc = curPc_ + cfg_.instrBytes;
+        curPc_ = next_pc;
     } else {
-        out.target = 0;
         curPc_ += cfg_.instrBytes;
     }
     startRegion();

@@ -25,7 +25,7 @@ struct CodeModelConfig
 {
     uint64_t footprintBytes = 4ull << 20; ///< total code working set
     uint32_t functionBytes = 2048;        ///< function body size
-    double functionTheta = 0.65;          ///< Zipf skew of call targets
+    double functionTheta = 0.65;          ///< Zipf skew of called functions
     double branchEvery = 6.0;             ///< mean instrs between branches
     double dataDepBranchFrac = 0.105;     ///< fraction of branches that
                                           ///< are data-dependent coin
@@ -48,7 +48,6 @@ struct FetchedInstr
     uint64_t pc;
     bool isBranch;
     bool taken;
-    uint64_t target; ///< valid when isBranch && taken
 };
 
 /**
@@ -80,7 +79,6 @@ class CodeModel
         } else {
             out.isBranch = false;
             out.taken = false;
-            out.target = 0;
             --remainingInRegion_;
             curPc_ += cfg_.instrBytes;
         }

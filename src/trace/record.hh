@@ -10,6 +10,7 @@
 #ifndef WSEARCH_TRACE_RECORD_HH
 #define WSEARCH_TRACE_RECORD_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "stats/access_kind.hh"
@@ -45,7 +46,6 @@ struct TraceRecord
 {
     uint64_t pc = 0;       ///< fetch address
     uint64_t addr = 0;     ///< data address (valid when op != None)
-    uint64_t target = 0;   ///< branch target (valid when branch != NotBranch)
     uint16_t tid = 0;      ///< software/hardware thread id
     AccessKind kind = AccessKind::Heap; ///< kind of the data access
     MemOp op = MemOp::None;
@@ -56,6 +56,7 @@ struct TraceRecord
     bool hasData() const { return op != MemOp::None; }
     bool isStore() const { return op == MemOp::Store; }
 };
+static_assert(sizeof(TraceRecord) == 24, "trace record layout");
 
 /**
  * Pull-based trace source. Implementations fill caller-provided buffers
@@ -73,6 +74,30 @@ class TraceSource
      */
     virtual size_t fill(TraceRecord *buf, size_t max) = 0;
 };
+
+/**
+ * Pull up to @p count records out of @p src in batches, handing each
+ * batch to @p fn(const TraceRecord *recs, size_t n).
+ * @return records pulled; less than @p count only when @p src ran dry.
+ */
+template <typename Fn>
+uint64_t
+forEachBatch(TraceSource &src, uint64_t count, Fn &&fn)
+{
+    constexpr size_t kBatch = 8192;
+    TraceRecord buf[kBatch];
+    uint64_t done = 0;
+    while (done < count) {
+        const size_t want = static_cast<size_t>(
+            count - done < kBatch ? count - done : kBatch);
+        const size_t got = src.fill(buf, want);
+        if (got == 0)
+            break;
+        fn(static_cast<const TraceRecord *>(buf), got);
+        done += got;
+    }
+    return done;
+}
 
 } // namespace wsearch
 

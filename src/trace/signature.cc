@@ -113,14 +113,10 @@ extractWindowSignatures(const BufferedTrace &trace, uint64_t total,
         heap.clear();
         shard.clear();
         stack.clear();
-        uint64_t left = sig.records;
-        uint64_t at = pos;
-        while (left > 0) {
-            const BufferedTrace::Span s = trace.spanAt(at, left);
-            if (s.count == 0)
-                break;
-            for (size_t i = 0; i < s.count; ++i) {
-                const TraceRecord &r = s.data[i];
+        trace.forEachSpan(pos, sig.records, [&](const TraceRecord *recs,
+                                                size_t n) {
+            for (size_t i = 0; i < n; ++i) {
+                const TraceRecord &r = recs[i];
                 code.add(r.pc >> block_shift);
                 if (r.isBranch()) {
                     ++sig.branches;
@@ -147,9 +143,7 @@ extractWindowSignatures(const BufferedTrace &trace, uint64_t total,
                     }
                 }
             }
-            at += s.count;
-            left -= s.count;
-        }
+        });
         sig.codeFootprint = code.estimate();
         sig.heapFootprint = heap.estimate();
         sig.shardFootprint = shard.estimate();

@@ -110,7 +110,6 @@ SyntheticSearchTrace::generateOne(TraceRecord &rec, uint32_t tid)
     rec.branch = fi.isBranch
         ? (fi.taken ? BranchKind::Taken : BranchKind::NotTaken)
         : BranchKind::NotBranch;
-    rec.target = fi.target;
 
     const double u = t.rng.nextDouble();
     if (u < prof_.loadFrac + prof_.storeFrac) {

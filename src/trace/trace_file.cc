@@ -9,20 +9,19 @@ namespace wsearch {
 
 namespace {
 
-/** Fixed 32-byte on-disk record (host endianness; little-endian on
- *  every supported platform). */
+/** Fixed 24-byte on-disk record mirroring TraceRecord (host
+ *  endianness; little-endian on every supported platform). */
 struct DiskRecord
 {
     uint64_t pc;
     uint64_t addr;
-    uint64_t target;
     uint16_t tid;
     uint8_t kind;
     uint8_t op;
     uint8_t branch;
     uint8_t pad[3];
 };
-static_assert(sizeof(DiskRecord) == 32, "trace record layout");
+static_assert(sizeof(DiskRecord) == 24, "trace record layout");
 
 DiskRecord
 toDisk(const TraceRecord &r)
@@ -30,7 +29,6 @@ toDisk(const TraceRecord &r)
     DiskRecord d{};
     d.pc = r.pc;
     d.addr = r.addr;
-    d.target = r.target;
     d.tid = r.tid;
     d.kind = static_cast<uint8_t>(r.kind);
     d.op = static_cast<uint8_t>(r.op);
@@ -49,7 +47,6 @@ fromDisk(const DiskRecord &d, TraceRecord *r)
         return false;
     r->pc = d.pc;
     r->addr = d.addr;
-    r->target = d.target;
     r->tid = d.tid;
     r->kind = static_cast<AccessKind>(d.kind);
     r->op = static_cast<MemOp>(d.op);
@@ -90,18 +87,10 @@ TraceFileWriter::append(const TraceRecord *recs, size_t n)
 uint64_t
 TraceFileWriter::captureFrom(TraceSource &src, uint64_t count)
 {
-    TraceRecord buf[4096];
-    uint64_t done = 0;
-    while (done < count) {
-        const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(4096, count - done));
-        const size_t got = src.fill(buf, want);
-        if (got == 0)
-            break;
-        append(buf, got);
-        done += got;
-    }
-    return done;
+    return forEachBatch(src, count,
+                        [this](const TraceRecord *recs, size_t n) {
+                            append(recs, n);
+                        });
 }
 
 uint64_t
@@ -121,8 +110,21 @@ TraceFileReader::TraceFileReader(const std::string &path)
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
         return;
-    if (std::fread(&header_, sizeof(header_), 1, file_) != 1 ||
-        header_.magic != TraceFileHeader::kMagic) {
+    const bool header_ok =
+        std::fread(&header_, sizeof(header_), 1, file_) == 1 &&
+        header_.magic == TraceFileHeader::kMagic;
+    // The record count must account for exactly the bytes after the
+    // header: a truncated or padded file is refused here.
+    const long end = header_ok && std::fseek(file_, 0, SEEK_END) == 0
+        ? std::ftell(file_)
+        : -1;
+    const uint64_t body = end >= static_cast<long>(sizeof(header_))
+        ? static_cast<uint64_t>(end) - sizeof(header_)
+        : 0;
+    if (end < static_cast<long>(sizeof(header_)) ||
+        body % sizeof(DiskRecord) != 0 ||
+        body / sizeof(DiskRecord) != header_.recordCount ||
+        std::fseek(file_, sizeof(header_), SEEK_SET) != 0) {
         std::fclose(file_);
         file_ = nullptr;
     }

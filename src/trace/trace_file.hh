@@ -2,9 +2,14 @@
  * @file
  * Binary trace file format: capture any TraceSource (typically the
  * instrumented engine) to disk and replay it later, the workflow the
- * paper used with its Pin traces. The format is a fixed 32-byte
- * little-endian record with a small header, so traces are portable
- * and seekable.
+ * paper used with its Pin traces.
+ *
+ * Layout (version 2, little-endian): a 24-byte TraceFileHeader (magic
+ * "wsrctrc2", record count, thread count, reserved word), then
+ * exactly recordCount 24-byte records mirroring TraceRecord: pc (8),
+ * addr (8), tid (2), kind (1), op (1), branch (1), 3 pad bytes. A
+ * reader refuses a file whose magic differs (a version-1 file
+ * included) or whose size disagrees with its record count.
  */
 
 #ifndef WSEARCH_TRACE_TRACE_FILE_HH
@@ -22,7 +27,7 @@ namespace wsearch {
 /** On-disk header of a wsearch trace file. */
 struct TraceFileHeader
 {
-    static constexpr uint64_t kMagic = 0x77737263'74726331ull; // wsrctrc1
+    static constexpr uint64_t kMagic = 0x77737263'74726332ull; // wsrctrc2
     uint64_t magic = kMagic;
     uint64_t recordCount = 0;
     uint32_t numThreads = 0;
@@ -60,7 +65,8 @@ class TraceFileWriter
 class TraceFileReader : public TraceSource
 {
   public:
-    /** Opens @p path; check ok() (bad magic also fails). */
+    /** Opens @p path; check ok() (bad magic, or a size other than
+     *  header + recordCount records, also fails). */
     explicit TraceFileReader(const std::string &path);
     ~TraceFileReader() override;
 

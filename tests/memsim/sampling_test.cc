@@ -113,20 +113,16 @@ class PhaseTrace : public TraceSource
             r.op = MemOp::Load;
             r.kind = AccessKind::Shard;
             r.addr = vaddr::kShardBase + pos * 64;
-            if (j % 4 == 0) {
+            if (j % 4 == 0)
                 r.branch = BranchKind::Taken;
-                r.target = r.pc + 8;
-            }
         } else {
             r.pc = vaddr::kCodeBase + (j % 128) * 4;
             r.op = h % 4 == 0 ? MemOp::Store : MemOp::Load;
             r.kind = AccessKind::Heap;
             r.addr = vaddr::kHeapBase + (w * 512 + j % 512) * 64;
-            if (j % 4 == 0) {
+            if (j % 4 == 0)
                 r.branch = h & 8 ? BranchKind::Taken
                                  : BranchKind::NotTaken;
-                r.target = r.pc + 8;
-            }
         }
         return r;
     }
@@ -387,7 +383,7 @@ TEST(SamplingPlans, SystemAndMemsimPlannedReplaysAgree)
 {
     // Cross-layer oracle for the shared plan-replay loop:
     // SystemSimulator::step makes the same accessInstr/accessData
-    // calls as pumpSpan and the TLB never touches the hierarchy, so
+    // calls as memsim's span replay and the TLB never touches the hierarchy, so
     // the system-level planned replay must reproduce the memsim-level
     // one counter for counter -- including coherence, L4 and the band.
     HierarchySpec spec;

@@ -21,11 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "chaos_seed.hh"
 #include "search/corpus.hh"
 #include "search/root.hh"
 #include "search/sharding.hh"
@@ -564,14 +564,6 @@ TEST(FaultSchedule, DeadlineExactlyAtPopStillExecutes)
 // Chaos properties (real clock, seeded random plans)
 // -----------------------------------------------------------------
 
-uint64_t
-chaosBaseSeed()
-{
-    if (const char *s = std::getenv("WSEARCH_CHAOS_SEED"))
-        return std::strtoull(s, nullptr, 0);
-    return 0x5eedc4a05ull;
-}
-
 /** Randomize a FaultSpec from @p rng: mild pain, all fault types. */
 FaultSpec
 randomSpec(Rng &rng)
@@ -680,6 +672,23 @@ runChaosRound(uint64_t seed, const ShardedIndex &si)
     EXPECT_EQ(shard_hedges, snap.hedgesIssued);
     EXPECT_EQ(shard_answers, snap.shardAnswers);
     EXPECT_EQ(shard_misses, snap.shardMisses);
+}
+
+TEST(Chaos, SeedParsesDecimalAndHexOnly)
+{
+    uint64_t v = 7;
+    EXPECT_TRUE(parseChaosSeed("0x5eedc4a05", v));
+    EXPECT_EQ(v, 0x5eedc4a05ull);
+    EXPECT_TRUE(parseChaosSeed("0XFFFFFFFFFFFFFFFF", v));
+    EXPECT_EQ(v, ~0ull);
+    EXPECT_TRUE(parseChaosSeed("1234", v));
+    EXPECT_EQ(v, 1234u);
+    for (const char *bad : {"", "0x", "0x5eedc4a05 ", "5eed", "-1", "0x-1",
+                            "0x10000000000000000", "18446744073709551616",
+                            "012abc"}) {
+        EXPECT_FALSE(parseChaosSeed(bad, v)) << bad;
+        EXPECT_EQ(v, 1234u) << bad;
+    }
 }
 
 TEST(Chaos, SeededRandomPlansKeepInvariants)

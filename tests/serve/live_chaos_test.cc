@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos_seed.hh"
 #include "search/live/live_index.hh"
 #include "search/live/merge_worker.hh"
 #include "search/live/snapshot_search.hh"
@@ -41,14 +41,6 @@ namespace wsearch {
 namespace {
 
 constexpr TermId kAllDocs = 7; ///< marker term carried by every doc
-
-uint64_t
-chaosBaseSeed()
-{
-    if (const char *s = std::getenv("WSEARCH_CHAOS_SEED"))
-        return std::strtoull(s, nullptr, 0);
-    return 0x5eedc4a05ull;
-}
 
 SearchRequest
 probe(uint32_t topk = 4096)

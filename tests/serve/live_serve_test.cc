@@ -211,7 +211,7 @@ struct LiveClusterFixture
     static constexpr uint32_t kShards = 2;
     static constexpr uint32_t kReplicas = 2;
 
-    explicit LiveClusterFixture(const FaultInjector *faults = nullptr)
+    explicit LiveClusterFixture(const FaultPlan *faults = nullptr)
     {
         for (uint32_t s = 0; s < kShards; ++s) {
             indexes.push_back(std::make_unique<LiveIndex>());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "memsim/simulator.hh"
 #include "trace/synthetic.hh"
@@ -61,7 +62,6 @@ TEST_F(TraceFileTest, RoundTripExact)
     for (size_t i = 0; i < orig.size(); ++i) {
         ASSERT_EQ(back[i].pc, orig[i].pc) << i;
         ASSERT_EQ(back[i].addr, orig[i].addr);
-        ASSERT_EQ(back[i].target, orig[i].target);
         ASSERT_EQ(back[i].tid, orig[i].tid);
         ASSERT_EQ(back[i].kind, orig[i].kind);
         ASSERT_EQ(back[i].op, orig[i].op);
@@ -127,11 +127,11 @@ TEST_F(TraceFileTest, StopsCleanlyAtCorruptKindByte)
         ASSERT_EQ(w.captureFrom(src, 100), 100u);
     }
     // Flip record 50's kind byte past the AccessKind range. Layout:
-    // 24-byte header, then 32-byte records with the kind byte at
-    // offset 26 (after pc, addr, target and the 16-bit tid).
+    // 24-byte header, then 24-byte records with the kind byte at
+    // offset 18 (after pc, addr and the 16-bit tid).
     std::FILE *f = std::fopen(path_.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, sizeof(TraceFileHeader) + 50 * 32 + 26,
+    ASSERT_EQ(std::fseek(f, sizeof(TraceFileHeader) + 50 * 24 + 18,
                          SEEK_SET),
               0);
     const uint8_t bad_kind = 7;
@@ -161,6 +161,79 @@ TEST_F(TraceFileTest, RejectsBadMagic)
     std::fclose(f);
     TraceFileReader r(path_);
     EXPECT_FALSE(r.ok());
+}
+
+TEST_F(TraceFileTest, RejectsVersion1Magic)
+{
+    // A file in the retired 32-byte-record layout: its header is
+    // intact and its size matches its count, but the magic is v1's.
+    {
+        SyntheticSearchTrace src(tinyProfile(), 1);
+        TraceFileWriter w(path_, 1);
+        ASSERT_EQ(w.captureFrom(src, 96), 96u);
+    }
+    TraceFileHeader v1;
+    v1.magic = 0x77737263'74726331ull; // wsrctrc1
+    v1.recordCount = 72;               // 96 * 24 B == 72 * 32 B
+    v1.numThreads = 1;
+    std::FILE *f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(&v1, sizeof(v1), 1, f), 1u);
+    std::fclose(f);
+    TraceFileReader r(path_);
+    EXPECT_FALSE(r.ok());
+    TraceRecord buf[4];
+    EXPECT_EQ(r.fill(buf, 4), 0u);
+}
+
+TEST_F(TraceFileTest, RejectsTruncatedFile)
+{
+    // The header claims more records than the file holds: refused at
+    // open, never read past the end.
+    {
+        SyntheticSearchTrace src(tinyProfile(), 1);
+        TraceFileWriter w(path_, 1);
+        ASSERT_EQ(w.captureFrom(src, 100), 100u);
+    }
+    std::vector<char> bytes(sizeof(TraceFileHeader) + 100 * 24);
+    std::FILE *f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f),
+              bytes.size());
+    std::fclose(f);
+    for (const size_t cut : {size_t{1}, size_t{24}, size_t{24 * 40}}) {
+        f = std::fopen(path_.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(bytes.data(), 1, bytes.size() - cut, f);
+        std::fclose(f);
+        TraceFileReader r(path_);
+        EXPECT_FALSE(r.ok()) << cut;
+        TraceRecord buf[4];
+        EXPECT_EQ(r.fill(buf, 4), 0u) << cut;
+    }
+}
+
+TEST_F(TraceFileTest, RejectsPaddedFile)
+{
+    // Trailing bytes after the last counted record, a partial record
+    // or whole ones, mean the header's count cannot be trusted.
+    {
+        SyntheticSearchTrace src(tinyProfile(), 1);
+        TraceFileWriter w(path_, 1);
+        ASSERT_EQ(w.captureFrom(src, 100), 100u);
+    }
+    // Appends 1 byte, then 23 more: one whole uncounted record.
+    for (const size_t pad : {size_t{1}, size_t{23}}) {
+        std::FILE *f = std::fopen(path_.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        const std::vector<char> zeros(pad, 0);
+        std::fwrite(zeros.data(), 1, pad, f);
+        std::fclose(f);
+        TraceFileReader r(path_);
+        EXPECT_FALSE(r.ok()) << pad;
+        TraceRecord buf[4];
+        EXPECT_EQ(r.fill(buf, 4), 0u) << pad;
+    }
 }
 
 TEST_F(TraceFileTest, MissingFileFailsGracefully)
