@@ -2,53 +2,35 @@
 
 namespace wsearch {
 
-CacheHierarchy::CacheHierarchy(const HierarchySpec &spec) : spec_(spec)
+namespace {
+
+/** @p spec with its shared levels removed: the private-only view. */
+HierarchySpec
+withoutSharedLevels(HierarchySpec spec)
 {
-    wsearch_assert(spec.numCores >= 1);
-    wsearch_assert(spec.smtWays >= 1);
-    wsearch_assert(spec.l2InstrPartitionWays < spec.l2.cache.ways);
-    if (spec.l1i.inclusion != InclusionMode::NINE ||
-        spec.l1d.inclusion != InclusionMode::NINE ||
-        spec.l2.inclusion != InclusionMode::NINE)
-        wsearch_fatal("inclusion control lives at the LLC; private "
-                      "levels must be NINE");
-    if (spec.l1i.fullyAssociative || spec.l1d.fullyAssociative ||
-        spec.l2.fullyAssociative)
-        wsearch_fatal("private levels are set-associative; "
-                      "fullyAssociative is an LLC/L4 option");
-    if (spec.l1i.slices != 1 || spec.l1d.slices != 1 ||
-        spec.l2.slices != 1)
-        wsearch_fatal("only the LLC can be sliced");
+    spec.hasLlc = false;
+    spec.l4.reset();
+    return spec;
+}
 
-    for (uint32_t c = 0; c < spec.numCores; ++c) {
-        l1i_c_.push_back(
-            std::make_unique<SetAssocCache>(spec.l1i.cache));
-        l1d_c_.push_back(
-            std::make_unique<SetAssocCache>(spec.l1d.cache));
-        if (spec.l2InstrPartitionWays) {
-            // Way-partitioned split L2: instructions get the first
-            // l2InstrPartitionWays ways, data the remainder.
-            CacheConfig data_part = spec.l2.cache;
-            data_part.partitionWays =
-                spec.l2.cache.ways - spec.l2InstrPartitionWays;
-            CacheConfig instr_part = spec.l2.cache;
-            instr_part.partitionWays = spec.l2InstrPartitionWays;
-            l2_c_.push_back(
-                std::make_unique<SetAssocCache>(data_part));
-            l2i_c_.push_back(
-                std::make_unique<SetAssocCache>(instr_part));
-        } else {
-            l2_c_.push_back(
-                std::make_unique<SetAssocCache>(spec.l2.cache));
-        }
-        stride_.emplace_back(256);
-        stream_.emplace_back(spec.prefetch.streamDegree);
-    }
+} // namespace
 
+SharedLevels::SharedLevels(const HierarchySpec &spec,
+                           CacheHierarchy *upper)
+    : exclusive_(spec.llc.inclusion == InclusionMode::Exclusive),
+      l4VictimFill_(spec.l4 && spec.l4->victimFill),
+      llcBlockBytes_(spec.llc.cache.blockBytes),
+      upper_(spec.hasLlc &&
+                     spec.llc.inclusion == InclusionMode::Inclusive
+                 ? upper
+                 : nullptr)
+{
+    // An inclusive LLC needs a hierarchy to back-invalidate.
+    wsearch_assert(upper_ || !spec.hasLlc ||
+                   spec.llc.inclusion != InclusionMode::Inclusive);
     if (spec.hasLlc) {
         wsearch_assert(spec.llc.slices >= 1);
-        if (spec.llc.inclusion == InclusionMode::Exclusive &&
-            spec.llc.fullyAssociative)
+        if (exclusive_ && spec.llc.fullyAssociative)
             wsearch_fatal("exclusive LLC needs the set-associative "
                           "array (dirty-victim tracking)");
         const uint64_t slice_bytes =
@@ -64,65 +46,41 @@ CacheHierarchy::CacheHierarchy(const HierarchySpec &spec) : spec_(spec)
         l4_c_ = std::make_unique<CacheUnit>(*spec.l4,
                                             spec.l4->cache.sizeBytes);
     }
-    if (spec.coherence != CoherenceProtocol::None &&
-        spec.numCores > 1) {
-        wsearch_assert(spec.numCores <= 64); // sharer bitmask width
-        coh_ = std::make_unique<CoherenceDirectory>(
-            spec.coherence, spec.l1d.cache.blockBytes);
-    }
 }
 
 void
-CacheHierarchy::resetStats()
+SharedLevels::resetStats()
 {
-    l1i_.reset();
-    l1d_.reset();
-    l2_.reset();
     l3_.reset();
     l4_.reset();
     l3Evictions_ = 0;
     writebacks_ = 0;
-    backInvalidations_ = 0;
-    if (coh_)
-        coh_->resetStats();
 }
 
 void
-CacheHierarchy::handleLlcEviction(uint64_t evicted, bool dirty)
+SharedLevels::handleLlcEviction(uint64_t evicted, bool dirty)
 {
     ++l3Evictions_;
     if (dirty)
         ++writebacks_;
     // The paper's L4 is a victim cache for LLC evictions (clean and
     // dirty): the only fill path in victimFill mode.
-    if (l4_c_ && spec_.l4->victimFill)
+    if (l4VictimFill_)
         l4_c_->insert(evicted, false, false);
-    if (spec_.llc.inclusion == InclusionMode::Inclusive) {
-        // Inclusion: the block may no longer live in any private cache.
-        for (uint32_t c = 0; c < spec_.numCores; ++c) {
-            bool inv = false;
-            inv |= l1i_c_[c]->invalidate(evicted);
-            inv |= l1d_c_[c]->invalidate(evicted);
-            inv |= l2_c_[c]->invalidate(evicted);
-            if (!l2i_c_.empty())
-                inv |= l2i_c_[c]->invalidate(evicted);
-            if (inv)
-                ++backInvalidations_;
-        }
-    }
+    if (upper_)
+        upper_->backInvalidate(evicted);
 }
 
 void
-CacheHierarchy::fillLlcFromL2Eviction(uint64_t evicted, bool dirty)
+SharedLevels::fillFromL2Eviction(uint64_t evicted, bool dirty)
 {
-    if (spec_.hasLlc &&
-        spec_.llc.inclusion == InclusionMode::Exclusive) {
+    if (llc_c_.empty())
+        return;
+    CacheUnit &llc = llc_c_[llcSlice(evicted)];
+    if (exclusive_) {
         // An exclusive LLC holds exactly the private-cache victims:
         // every L2 eviction (clean or dirty) fills it, and the fill's
         // own victim leaves the chip via handleLlcEviction.
-        if (dirty)
-            ++writebacks_;
-        CacheUnit &llc = llc_c_[llcSlice(evicted)];
         uint64_t ev = kNoBlock;
         bool ev_dirty = false;
         llc.insert(evicted, dirty, false, &ev, &ev_dirty);
@@ -133,24 +91,20 @@ CacheHierarchy::fillLlcFromL2Eviction(uint64_t evicted, bool dirty)
     // NINE / inclusive: only dirty victims propagate down (the original
     // model, preserved bit-for-bit -- including not tracking the
     // writeback insert's own victim).
-    if (dirty) {
-        ++writebacks_;
-        if (spec_.hasLlc)
-            llc_c_[llcSlice(evicted)].insert(evicted, true, false);
-    }
+    if (dirty)
+        llc.insert(evicted, true, false);
 }
 
 HitLevel
-CacheHierarchy::accessSharedLevels(uint64_t addr, bool is_store,
-                                   AccessKind kind)
+SharedLevels::access(uint64_t addr, bool is_store, AccessKind kind)
 {
-    if (!spec_.hasLlc) {
+    if (llc_c_.empty()) {
         // No shared levels: misses go straight to memory.
         return HitLevel::Memory;
     }
     CacheUnit &llc = llc_c_[llcSlice(addr)];
     bool llc_hit;
-    if (spec_.llc.inclusion == InclusionMode::Exclusive) {
+    if (exclusive_) {
         // Exclusive LLC: a hit migrates the line up into the private
         // caches (the caller's fill path), so it leaves the LLC; a
         // miss does not allocate -- fills come only from L2
@@ -173,7 +127,7 @@ CacheHierarchy::accessSharedLevels(uint64_t addr, bool is_store,
     if (!l4_c_)
         return HitLevel::Memory;
 
-    if (spec_.l4->victimFill) {
+    if (l4VictimFill_) {
         // Memory-side victim cache: a hit serves the data and the line
         // stays resident (it caches memory, not the LLC); a miss does
         // NOT allocate -- fills come only from LLC evictions.
@@ -185,6 +139,108 @@ CacheHierarchy::accessSharedLevels(uint64_t addr, bool is_store,
     const bool l4_hit = l4_c_->access(addr, false);
     l4_.record(kind, !l4_hit);
     return l4_hit ? HitLevel::L4 : HitLevel::Memory;
+}
+
+CacheHierarchy::CacheHierarchy(const HierarchySpec &spec)
+    : CacheHierarchy(spec, spec, nullptr, 0, 1)
+{
+}
+
+CacheHierarchy::CacheHierarchy(const HierarchySpec &spec,
+                               SharedEventLog &log, uint32_t part,
+                               uint32_t parts)
+    : CacheHierarchy(spec, withoutSharedLevels(spec), &log, part, parts)
+{
+    wsearch_assert(part < parts);
+    wsearch_assert(!spec.hasLlc ||
+                   spec.llc.inclusion != InclusionMode::Inclusive);
+    wsearch_assert(parts == 1 || !coh_);
+}
+
+CacheHierarchy::CacheHierarchy(const HierarchySpec &spec,
+                               const HierarchySpec &shared,
+                               SharedEventLog *log, uint32_t part,
+                               uint32_t parts)
+    : spec_(spec), shared_(shared, this), log_(log)
+{
+    wsearch_assert(spec.numCores >= 1);
+    wsearch_assert(spec.smtWays >= 1);
+    wsearch_assert(spec.l2InstrPartitionWays < spec.l2.cache.ways);
+    if (spec.l1i.inclusion != InclusionMode::NINE ||
+        spec.l1d.inclusion != InclusionMode::NINE ||
+        spec.l2.inclusion != InclusionMode::NINE)
+        wsearch_fatal("inclusion control lives at the LLC; private "
+                      "levels must be NINE");
+    if (spec.l1i.fullyAssociative || spec.l1d.fullyAssociative ||
+        spec.l2.fullyAssociative)
+        wsearch_fatal("private levels are set-associative; "
+                      "fullyAssociative is an LLC/L4 option");
+    if (spec.l1i.slices != 1 || spec.l1d.slices != 1 ||
+        spec.l2.slices != 1)
+        wsearch_fatal("only the LLC can be sliced");
+
+    l1i_c_.resize(spec.numCores);
+    l1d_c_.resize(spec.numCores);
+    l2_c_.resize(spec.numCores);
+    if (spec.l2InstrPartitionWays)
+        l2i_c_.resize(spec.numCores);
+    for (uint32_t c = 0; c < spec.numCores; ++c) {
+        stride_.emplace_back(256);
+        stream_.emplace_back(spec.prefetch.streamDegree);
+        if (c % parts != part)
+            continue; // another part's core: never accessed
+        l1i_c_[c] = std::make_unique<SetAssocCache>(spec.l1i.cache);
+        l1d_c_[c] = std::make_unique<SetAssocCache>(spec.l1d.cache);
+        if (spec.l2InstrPartitionWays) {
+            // Way-partitioned split L2: instructions get the first
+            // l2InstrPartitionWays ways, data the remainder.
+            CacheConfig data_part = spec.l2.cache;
+            data_part.partitionWays =
+                spec.l2.cache.ways - spec.l2InstrPartitionWays;
+            CacheConfig instr_part = spec.l2.cache;
+            instr_part.partitionWays = spec.l2InstrPartitionWays;
+            l2_c_[c] = std::make_unique<SetAssocCache>(data_part);
+            l2i_c_[c] = std::make_unique<SetAssocCache>(instr_part);
+        } else {
+            l2_c_[c] = std::make_unique<SetAssocCache>(spec.l2.cache);
+        }
+    }
+
+    if (spec.coherence != CoherenceProtocol::None &&
+        spec.numCores > 1) {
+        wsearch_assert(spec.numCores <= 64); // sharer bitmask width
+        coh_ = std::make_unique<CoherenceDirectory>(
+            spec.coherence, spec.l1d.cache.blockBytes);
+    }
+}
+
+void
+CacheHierarchy::resetStats()
+{
+    l1i_.reset();
+    l1d_.reset();
+    l2_.reset();
+    shared_.resetStats();
+    writebacks_ = 0;
+    backInvalidations_ = 0;
+    if (coh_)
+        coh_->resetStats();
+}
+
+void
+CacheHierarchy::backInvalidate(uint64_t evicted)
+{
+    // Inclusion: the block may no longer live in any private cache.
+    for (uint32_t c = 0; c < spec_.numCores; ++c) {
+        bool inv = false;
+        inv |= l1i_c_[c]->invalidate(evicted);
+        inv |= l1d_c_[c]->invalidate(evicted);
+        inv |= l2_c_[c]->invalidate(evicted);
+        if (!l2i_c_.empty())
+            inv |= l2i_c_[c]->invalidate(evicted);
+        if (inv)
+            ++backInvalidations_;
+    }
 }
 
 HitLevel
@@ -201,7 +257,7 @@ CacheHierarchy::missPathInstr(uint32_t core, uint64_t pc)
     if (was_pf)
         ++l2_.prefetchUseful;
     if (evicted != kNoBlock)
-        fillLlcFromL2Eviction(evicted, evicted_dirty);
+        l2Evicted(evicted, evicted_dirty);
     if (l2_hit)
         return HitLevel::L2;
 
@@ -215,9 +271,8 @@ CacheHierarchy::missPathInstr(uint32_t core, uint64_t pc)
             ++l2_.prefetchIssued;
         }
     }
-    return accessSharedLevels(pc, false, AccessKind::Code);
+    return accessShared(pc, false, AccessKind::Code);
 }
-
 HitLevel
 CacheHierarchy::accessInstr(uint32_t tid, uint64_t pc)
 {
@@ -262,7 +317,7 @@ CacheHierarchy::missPathData(uint32_t core, uint64_t addr,
     if (was_pf)
         ++l2_.prefetchUseful;
     if (evicted != kNoBlock)
-        fillLlcFromL2Eviction(evicted, evicted_dirty);
+        l2Evicted(evicted, evicted_dirty);
     if (l2_hit)
         return HitLevel::L2;
 
@@ -286,7 +341,7 @@ CacheHierarchy::missPathData(uint32_t core, uint64_t addr,
             ++l2_.prefetchIssued;
         }
     }
-    return accessSharedLevels(addr, is_store, kind);
+    return accessShared(addr, is_store, kind);
 }
 
 HitLevel

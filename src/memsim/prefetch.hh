@@ -40,6 +40,8 @@ struct PrefetchConfig
         p.l1Stride = p.l1NextLine = p.l2Adjacent = p.l2Stream = true;
         return p;
     }
+
+    bool operator==(const PrefetchConfig &) const = default;
 };
 
 /**

@@ -61,6 +61,8 @@ struct CacheLevelSpec
     bool fullyAssociative = false;
     uint32_t slices = 1;     ///< address-hashed slice count (LLC)
     bool victimFill = false; ///< memory-side victim cache (paper L4)
+
+    bool operator==(const CacheLevelSpec &) const = default;
 };
 
 /** Private L1 level (I or D side). */

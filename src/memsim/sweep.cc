@@ -21,6 +21,185 @@ namespace {
  */
 constexpr double kBandRelFloor = 0.03;
 
+/**
+ * Walk a sweep's replay schedule: the plan's windows, or, with no
+ * plan, runTrace's exact split (warmup, reset, then measure from
+ * where the warmup ended) as window 0.
+ */
+template <typename Pump, typename Reset, typename Window>
+void
+walkSchedule(const SamplingPlan &plan, uint64_t warmup,
+             uint64_t measure, Pump pump, Reset reset, Window window)
+{
+    if (plan.enabled()) {
+        walkPlan(plan, pump, reset, window);
+        return;
+    }
+    const uint64_t warmed = pump(0, warmup);
+    reset();
+    window(0, pump(warmed, measure));
+}
+
+/**
+ * True when the private levels of @p spec never read the shared ones,
+ * so one step-1 replay can feed any LLC/L4 behind them. Only an
+ * inclusive LLC reaches back up (back-invalidation).
+ */
+bool
+splitsAtL2(const HierarchySpec &spec)
+{
+    return !spec.hasLlc ||
+        spec.llc.inclusion != InclusionMode::Inclusive;
+}
+
+/** Same cores, SMT, L1/L2, prefetchers and coherence. */
+bool
+samePrivateLevels(const HierarchySpec &a, const HierarchySpec &b)
+{
+    return a.numCores == b.numCores && a.smtWays == b.smtWays &&
+        a.l1i == b.l1i && a.l1d == b.l1d && a.l2 == b.l2 &&
+        a.l2InstrPartitionWays == b.l2InstrPartitionWays &&
+        a.prefetch == b.prefetch && a.coherence == b.coherence;
+}
+
+/** The specs that share one step-1 replay, and its output. */
+struct PrivateGroup
+{
+    size_t leader = 0;           ///< index of the group's first spec
+    bool cleanEvictions = false; ///< a member's LLC is exclusive
+    uint32_t parts = 1;          ///< step-1 parts, split by core
+    std::vector<uint32_t> partOf; ///< thread id -> part
+
+    /** Per part, what the shared levels see, in record order. */
+    std::vector<SharedEventLog> logs;
+    /** Private counters per measured window, summed over parts. */
+    std::vector<SimResult> windows;
+};
+
+/** One step-1 part's output. */
+struct PartReplay
+{
+    SharedEventLog log;
+    std::vector<SimResult> windows;
+};
+
+/**
+ * Step 1, one part: replay the private levels of the group's cores
+ * c % parts == @p part over the sweep's schedule, skipping the other
+ * parts' records.
+ */
+PartReplay
+replayPrivate(const BufferedTrace &trace, const HierarchySpec &spec,
+              const PrivateGroup &group, uint32_t part,
+              const SamplingPlan &plan, uint64_t warmup,
+              uint64_t measure)
+{
+    PartReplay out;
+    SharedEventLog &log = out.log;
+    log.cleanEvictions = group.cleanEvictions;
+    CacheHierarchy hier(spec, log, part, group.parts);
+    const auto pump = [&](uint64_t begin, uint64_t count) {
+        uint64_t idx = begin;
+        return trace.forEachSpan(
+            begin, count, [&](const TraceRecord *rec, size_t n) {
+                for (size_t i = 0; i < n; ++i) {
+                    const TraceRecord &r = rec[i];
+                    if (group.partOf[r.tid] != part)
+                        continue;
+                    log.record = idx + i;
+                    hier.accessInstr(r.tid, r.pc);
+                    if (r.hasData())
+                        hier.accessData(r.tid, r.pc, r.addr,
+                                        r.isStore(), r.kind);
+                }
+                idx += n;
+            });
+    };
+    walkSchedule(
+        plan, warmup, measure, pump, [&] { hier.resetStats(); },
+        [&](size_t, uint64_t done) {
+            out.windows.push_back(harvestCounters(hier, done));
+        });
+    return out;
+}
+
+/**
+ * Step 2: replay @p spec's LLC/L4 over its group's event stream on
+ * the same schedule, resetting and reading the shared stats at the
+ * same record indices, and combine them with the private counters.
+ * The parts' streams are merged by record index on the way: a
+ * record's events all come from the part owning its core, so the
+ * merge keeps replay order.
+ */
+SimResult
+replayShared(const HierarchySpec &spec, const PrivateGroup &group,
+             uint64_t records, const SamplingPlan &plan,
+             uint64_t warmup, uint64_t measure)
+{
+    SharedLevels shared(spec);
+    struct Cursor
+    {
+        const std::vector<SharedEvent> *block, *last;
+        size_t i = 0;
+
+        const SharedEvent *
+        peek() const
+        {
+            return block != last ? &(*block)[i] : nullptr;
+        }
+
+        const SharedEvent &
+        pop()
+        {
+            const SharedEvent &e = (*block)[i];
+            if (++i == block->size()) {
+                ++block;
+                i = 0;
+            }
+            return e;
+        }
+    };
+    std::vector<Cursor> heads;
+    for (const SharedEventLog &log : group.logs)
+        heads.push_back({log.blocks.data(),
+                         log.blocks.data() + log.blocks.size()});
+    const auto pump = [&](uint64_t begin, uint64_t count) {
+        const uint64_t done =
+            begin < records ? std::min(count, records - begin) : 0;
+        const uint64_t end = begin + done;
+        for (;;) {
+            Cursor *next = nullptr;
+            uint64_t at = end;
+            for (Cursor &c : heads) {
+                const SharedEvent *e = c.peek();
+                if (e && e->record() < at) {
+                    at = e->record();
+                    next = &c;
+                }
+            }
+            if (!next)
+                return done;
+            const SharedEvent &e = next->pop();
+            if (e.eviction())
+                shared.fillFromL2Eviction(e.addr, e.write());
+            else
+                shared.access(e.addr, e.write(), e.kind());
+        }
+    };
+    std::vector<SimResult> wins = group.windows;
+    walkSchedule(
+        plan, warmup, measure, pump, [&] { shared.resetStats(); },
+        [&](size_t i, uint64_t done) {
+            SimResult &r = wins[i];
+            r.instructions = done;
+            r.l3 = shared.l3Stats();
+            r.l4 = shared.l4Stats();
+            r.l3Evictions = shared.l3Evictions();
+            r.writebacks += shared.writebacks();
+        });
+    return plan.enabled() ? mergePlanWindows(plan, wins) : wins[0];
+}
+
 } // namespace
 
 const char *
@@ -349,7 +528,98 @@ sweepHierarchies(const BufferedTrace &trace,
     // build once, share read-only across all workers.
     const SamplingPlan plan =
         buildSweepPlan(trace, warmup + measure, opt);
-    runParallelJobs(specs.size(), opt.threads, [&](size_t i) {
+    const uint32_t threads = opt.threads ? opt.threads : simThreads();
+
+    // Group the specs that split at the L2 by their private levels.
+    constexpr size_t kFullReplay = ~size_t(0);
+    std::vector<size_t> group_of(specs.size(), kFullReplay);
+    std::vector<PrivateGroup> groups;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        if (!splitsAtL2(specs[i]))
+            continue;
+        size_t g = 0;
+        while (g < groups.size() &&
+               !samePrivateLevels(specs[groups[g].leader], specs[i]))
+            ++g;
+        if (g == groups.size()) {
+            groups.emplace_back();
+            groups[g].leader = i;
+        }
+        group_of[i] = g;
+        groups[g].cleanEvictions |= specs[i].hasLlc &&
+            specs[i].llc.inclusion == InclusionMode::Exclusive;
+    }
+
+    // Step 1: each group's private levels, split by core across the
+    // threads. Coherence couples the cores, so it runs as one part.
+    struct Part
+    {
+        size_t group;
+        uint32_t part;
+    };
+    std::vector<Part> jobs;
+    const uint32_t share = groups.empty()
+        ? 1
+        : static_cast<uint32_t>((threads + groups.size() - 1) /
+                                groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+        PrivateGroup &grp = groups[g];
+        const HierarchySpec &spec = specs[grp.leader];
+        grp.parts = spec.coherence != CoherenceProtocol::None
+            ? 1
+            : std::min(spec.numCores, share);
+        // Every uint16_t tid -> coreOf(tid) % parts, without dividing.
+        grp.partOf.resize(size_t(1) << 16);
+        uint32_t lane = 0, core = 0, part = 0;
+        for (uint32_t &p : grp.partOf) {
+            p = part;
+            if (++lane < spec.smtWays)
+                continue;
+            lane = 0;
+            if (++core == spec.numCores)
+                core = part = 0;
+            else if (++part == grp.parts)
+                part = 0;
+        }
+        for (uint32_t p = 0; p < grp.parts; ++p)
+            jobs.push_back({g, p});
+    }
+    std::vector<PartReplay> part_out(jobs.size());
+    runParallelJobs(jobs.size(), threads, [&](size_t j) {
+        const PrivateGroup &grp = groups[jobs[j].group];
+        part_out[j] = replayPrivate(trace, specs[grp.leader], grp,
+                                    jobs[j].part, plan, warmup,
+                                    measure);
+    });
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        PrivateGroup &grp = groups[jobs[j].group];
+        PartReplay &out = part_out[j];
+        if (jobs[j].part == 0)
+            grp.windows = std::move(out.windows);
+        else
+            for (size_t w = 0; w < grp.windows.size(); ++w)
+                grp.windows[w] += out.windows[w];
+        grp.logs.push_back(std::move(out.log));
+    }
+    part_out.clear();
+
+    // Step 2: every split spec's LLC/L4 over its group's stream, next
+    // to the full replays of the rest (queued first: they are longer).
+    std::vector<size_t> order;
+    for (size_t i = 0; i < specs.size(); ++i)
+        if (group_of[i] == kFullReplay)
+            order.push_back(i);
+    for (size_t i = 0; i < specs.size(); ++i)
+        if (group_of[i] != kFullReplay)
+            order.push_back(i);
+    runParallelJobs(order.size(), threads, [&](size_t j) {
+        const size_t i = order[j];
+        if (group_of[i] != kFullReplay) {
+            results[i] = replayShared(specs[i], groups[group_of[i]],
+                                      trace.size(), plan, warmup,
+                                      measure);
+            return;
+        }
         CacheHierarchy hier(specs[i]);
         results[i] = plan.enabled()
             ? runTracePlanned(trace, hier, plan)

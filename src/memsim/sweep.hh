@@ -1,13 +1,24 @@
 /**
  * @file
  * Parallel sweep engine. Every paper figure is a sweep: one trace
- * replayed through dozens of hierarchy configurations. The
- * configurations are embarrassingly independent, so the engine
+ * replayed through dozens of hierarchy configurations. The engine
  * materializes the trace once into a shared immutable BufferedTrace
- * and fans worker threads out over a work queue of configuration
- * jobs, each replaying the shared buffer through its own private
- * CacheHierarchy -- no sharing and no locks on the hot path, and
- * bit-identical SimResults to the serial runTrace.
+ * and fans worker threads out over a work queue of jobs -- no sharing
+ * and no locks on the hot path, and bit-identical SimResults to the
+ * serial runTrace.
+ *
+ * Most ladders vary only the LLC/L4 behind fixed L1/L2, so the sweep
+ * runs in two stages. Step 1 replays each distinct private part
+ * (cores, SMT, L1-I/L1-D/L2, split-L2 ways, prefetchers, coherence)
+ * once, split by core across the workers when there is no coherence
+ * directory, and logs what reaches the shared levels: L2 demand
+ * misses and L2 evictions, 16 B each, stamped with their record index
+ * (SharedEvent, memsim/hierarchy.hh). Step 2 replays each
+ * configuration's LLC/L4 (SharedLevels) over that stream in parallel.
+ * This is exact because with a NINE or exclusive LLC nothing in the
+ * L1/L2, the prefetchers or the coherence directory reads LLC or L4
+ * state. An inclusive LLC back-invalidates private lines, so those
+ * configurations keep the per-configuration full replay.
  *
  * The worker count comes from WSEARCH_SIM_THREADS (default: hardware
  * concurrency). A SamplingPlan trades exactness for speed: only
@@ -204,28 +215,21 @@ void runParallelJobs(size_t njobs, uint32_t threads,
                      const std::function<void(size_t)> &job);
 
 /**
- * The planned-replay window walk behind runTracePlanned and
- * SystemSimulator::runPlanned. Windows are visited in position order
- * on ONE simulator whose state is carried across the skipped gaps:
- * up to plan.warmupRecords before each window are re-warmed through
- * @p pump(begin, count) (which returns the records it replayed), then
- * @p reset() clears the stats, the window is replayed and
- * @p harvest(records) reads its counters. Each window is weight-merged
- * strictly via Result::operator+= (the representative stands for
- * `weight` windows), and the total carries sampledWindows,
- * representedWindows and the planVariance band (l3MissVar).
+ * The planned-replay window walk. Windows are visited in position
+ * order on ONE simulator whose state is carried across the skipped
+ * gaps: up to plan.warmupRecords before each window are re-warmed
+ * through @p pump(begin, count) (which returns the records it
+ * replayed), then @p reset() clears the stats, the window is replayed
+ * and @p window(i, records) reads window i's counters.
  */
-template <typename Result, typename Pump, typename Reset,
-          typename Harvest>
-Result
-replayPlan(const SamplingPlan &plan, Pump pump, Reset reset,
-           Harvest harvest)
+template <typename Pump, typename Reset, typename Window>
+void
+walkPlan(const SamplingPlan &plan, Pump pump, Reset reset,
+         Window window)
 {
-    Result acc;
-    std::vector<double> metric;
-    metric.reserve(plan.windows.size());
     uint64_t pos = 0; // replay cursor: state is carried across gaps
-    for (const SampleWindow &w : plan.windows) {
+    for (size_t i = 0; i < plan.windows.size(); ++i) {
+        const SampleWindow &w = plan.windows[i];
         const uint64_t warm_begin = std::max(
             pos, w.begin > plan.warmupRecords
                 ? w.begin - plan.warmupRecords : 0);
@@ -233,19 +237,59 @@ replayPlan(const SamplingPlan &plan, Pump pump, Reset reset,
             pump(warm_begin, w.begin - warm_begin);
         reset();
         const uint64_t done = pump(w.begin, w.records);
-        const Result win = harvest(done);
+        window(i, done);
+        pos = w.begin + done;
+    }
+}
+
+/**
+ * Weight-merge the per-window results @p wins of @p plan (one per
+ * plan window, in order) strictly via Result::operator+= (the
+ * representative stands for `weight` windows). The total carries
+ * sampledWindows, representedWindows and the planVariance band
+ * (l3MissVar).
+ */
+template <typename Result>
+Result
+mergePlanWindows(const SamplingPlan &plan,
+                 const std::vector<Result> &wins)
+{
+    Result acc;
+    std::vector<double> metric;
+    metric.reserve(wins.size());
+    for (size_t i = 0; i < wins.size(); ++i) {
+        const Result &win = wins[i];
+        const uint64_t weight = plan.windows[i].weight;
         metric.push_back(static_cast<double>(win.l3.totalMisses()));
         Result scaled;
-        for (uint64_t r = 0; r < w.weight; ++r)
+        for (uint64_t r = 0; r < weight; ++r)
             scaled += win;
         scaled.sampledWindows = 1;
-        scaled.representedWindows = w.weight;
+        scaled.representedWindows = weight;
         acc += scaled;
-        pos = w.begin + done;
     }
     acc.l3MissVar = planVariance(
         plan, metric, static_cast<double>(acc.l3.totalMisses()));
     return acc;
+}
+
+/**
+ * The planned replay behind runTracePlanned and
+ * SystemSimulator::runPlanned: walkPlan with @p harvest(records)
+ * reading each window's counters, then mergePlanWindows.
+ */
+template <typename Result, typename Pump, typename Reset,
+          typename Harvest>
+Result
+replayPlan(const SamplingPlan &plan, Pump pump, Reset reset,
+           Harvest harvest)
+{
+    std::vector<Result> wins;
+    wins.reserve(plan.windows.size());
+    walkPlan(plan, pump, reset, [&](size_t, uint64_t done) {
+        wins.push_back(harvest(done));
+    });
+    return mergePlanWindows(plan, wins);
 }
 
 /**
@@ -260,13 +304,21 @@ SimResult runTracePlanned(const BufferedTrace &trace,
                           const SamplingPlan &plan);
 
 /**
- * The sweep: replay @p trace through a private CacheHierarchy per
- * configuration, @p warmup records of warmup then @p measure records
- * of measurement each, in parallel. Result i belongs to config i and
- * is bit-identical to serial runTrace at any thread count (unless
- * @p opt selects a sampling plan, which replaces the warmup/measure
- * split with representative windows over the first warmup+measure
- * records).
+ * The sweep: replay @p trace through every configuration, @p warmup
+ * records of warmup then @p measure records of measurement each, in
+ * parallel. Result i belongs to config i and is bit-identical to
+ * serial runTrace at any thread count (unless @p opt selects a
+ * sampling plan, which replaces the warmup/measure split with
+ * representative windows over the first warmup+measure records; the
+ * result is then bit-identical to runTracePlanned under that plan).
+ *
+ * Configurations whose LLC is not inclusive take the two-stage route
+ * (see the file comment): step 1 replays each group of equal private
+ * parts once, in parts by core on opt.threads workers, and frees its
+ * caches; step 2 replays each configuration's shared levels over the
+ * group's event stream, resetting and reading the stats at the same
+ * record indices as runTrace (warmup) or replayPlan (plan windows).
+ * Inclusive configurations replay in full alongside step 2.
  */
 std::vector<SimResult>
 sweepHierarchies(const BufferedTrace &trace,
